@@ -135,9 +135,13 @@ def _emit(report, args, fmt="json"):
         sys.stdout.write(text)
 
 
-def _load_graph(path):
-    with open(path) as fh:
-        return graph_from_json(fh.read())
+def _load_graph(args):
+    """Load --graph and put its canonical JSON in place of the path, so the
+    envelope's inputHash follows the graph's content."""
+    with open(args.graph) as fh:
+        g = graph_from_json(fh.read())
+    args.graph = g.to_json_dict()
+    return g
 
 
 def run(argv):
@@ -173,13 +177,13 @@ def _dispatch(args):
         if args.theorem != "invariance":
             if not args.graph:
                 raise HypothesisViolated("--graph is required")
-            kwargs["graph"] = _load_graph(args.graph)
+            kwargs["graph"] = _load_graph(args)
         cert = verify_theorem(args.theorem, **kwargs)
         report = _envelope(args, cert.bounds, cert.to_json_dict())
         _emit(report, args)
         return 0 if cert.result else 1
 
-    g = _load_graph(args.graph)
+    g = _load_graph(args)
 
     if cmd == "explode":
         eg = explode(g)

@@ -281,8 +281,6 @@ def _is_tree_like(g):
         if len(others) != 1:
             return False
     rest = [e for i, e in enumerate(g.edges) if i not in loops]
-    if g.genus == 0:
-        return _is_trivalent_tree(g.vertices, rest)
     return _is_trivalent_tree(g.vertices, rest)
 
 

@@ -7,9 +7,10 @@ building blocks of their exploded decompositions, fiber products, and the
 assembly pipeline all live here.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     BaseMismatch,
@@ -74,7 +75,7 @@ class GradedPolytope:
 # -- lattice point enumeration -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # bounded; holds the repeats of one verification run
 def lattice_points(P, N):
     """All lattice members of the N-th dilation, lexicographically sorted."""
     if N < 0:
@@ -84,63 +85,73 @@ def lattice_points(P, N):
         rows.append((r, rhs * N))
         rows.append((tuple(-c for c in r), -rhs * N))
     if P.dim == 0:
-        if all(0 <= rhs for _, rhs in rows):
-            return (tuple(),)
-        return tuple()
+        return ((),) if all(0 <= rhs for _, rhs in rows) else ()
 
     lo, hi = _propagate_bounds(P.dim, rows)
     if lo is None:
         return tuple()
 
-    # suffix extreme contributions per constraint
-    n = len(rows)
-    smin = [[0] * (P.dim + 1) for _ in range(n)]
-    for c, (r, _) in enumerate(rows):
-        acc = 0
-        for j in range(P.dim - 1, -1, -1):
-            a = r[j]
-            acc += min(a * lo[j], a * hi[j])
-            smin[c][j] = acc
+    # Search pinned coordinates (lo == hi) first, then the rest in index
+    # order, so parity sets are decided early.  A pinned coordinate takes one
+    # value, so the points still come out sorted.  caps[k] lists, for the rows
+    # touching the coordinate at search position k, (row, coefficient,
+    # rhs minus the row's least contribution from later positions).
+    order = sorted(range(P.dim), key=lambda j: lo[j] < hi[j])
+    smin = [0] * len(rows)
+    caps = [None] * P.dim
+    for k in range(P.dim - 1, -1, -1):
+        j = order[k]
+        caps[k] = [(c, r[j], rows[c][1] - smin[c])
+                   for c, (r, _) in enumerate(rows) if r[j]]
+        for c, a, _ in caps[k]:
+            smin[c] += min(a * lo[j], a * hi[j])
 
-    psets = [tuple(s) for s in P.lattice.parity_sets]
-    pmax = [max(s) if s else -1 for s in psets]
-    check_at = {}
-    for s, m in zip(psets, pmax):
-        check_at.setdefault(m, []).append(s)
+    # a parity set is decided where its last coordinate j is placed: the
+    # rest of the set fixes the parity of x_j if j occurs an odd number of
+    # times in it, and passes or fails the node otherwise
+    pos = {j: k for k, j in enumerate(order)}
+    checks = [[] for _ in range(P.dim)]
+    for s in filter(None, P.lattice.parity_sets):
+        k = max(pos[i] for i in s)
+        j = order[k]
+        checks[k].append((tuple(i for i in s if i != j), s.count(j) % 2))
 
     out = []
-    point = [0] * P.dim
-    partial = [0] * n
+    point = [0] * P.dim  # original coordinate order
+    partial = [0] * len(rows)
 
     def dfs(k):
-        if k == P.dim:
-            out.append(tuple(point))
-            return
-        xlo, xhi = lo[k], hi[k]
-        for c, (r, rhs) in enumerate(rows):
-            a = r[k]
-            if a == 0:
-                continue
-            room = rhs - partial[c] - smin[c][k + 1]
+        j = order[k]
+        xlo, xhi = lo[j], hi[j]
+        for c, a, cap in caps[k]:
+            room = cap - partial[c]
             if a > 0:
                 xhi = min(xhi, room // a)
             else:
                 # a*x <= room with a < 0  ->  x >= ceil(room/a)
                 xlo = max(xlo, -(room // (-a)))
-        for x in range(xlo, xhi + 1):
-            point[k] = x
-            ok = True
-            for c, (r, _) in enumerate(rows):
-                partial[c] += r[k] * x
-            for s in check_at.get(k, ()):
-                if sum(point[i] for i in s) % 2:
-                    ok = False
-                    break
-            if ok:
-                dfs(k + 1)
-            for c, (r, _) in enumerate(rows):
-                partial[c] -= r[k] * x
-        point[k] = 0
+        par = None
+        for others, odd in checks[k]:
+            p = sum(point[i] for i in others) % 2
+            if (p and not odd) or (odd and par not in (None, p)):
+                return  # odd whatever x_j is, or two sets disagree on it
+            if odd:
+                par = p
+        if par is not None and xlo % 2 != par:
+            xlo += 1
+        xs = range(xlo, xhi + 1, 1 if par is None else 2)
+        if k == P.dim - 1:
+            for x in xs:
+                point[j] = x
+                out.append(tuple(point))
+            return
+        for x in xs:
+            point[j] = x
+            for c, a, _ in caps[k]:
+                partial[c] += a * x
+            dfs(k + 1)
+            for c, a, _ in caps[k]:
+                partial[c] -= a * x
 
     dfs(0)
     return tuple(out)
@@ -151,24 +162,16 @@ def _propagate_bounds(dim, rows):
     infeasible; raises Unbounded if a coordinate cannot be bounded."""
     lo = [-INF] * dim
     hi = [INF] * dim
+    sparse = [([(j, a) for j, a in enumerate(r) if a], rhs) for r, rhs in rows]
     for _ in range(2 * dim + 6):
         changed = False
-        for r, rhs in rows:
-            for i in range(dim):
-                a = r[i]
-                if a == 0:
-                    continue
+        for nz, rhs in sparse:
+            for i, a in nz:
                 rest = 0
-                ok = True
-                for j in range(dim):
-                    if j == i or r[j] == 0:
-                        continue
-                    m = min(r[j] * lo[j], r[j] * hi[j])
-                    if m == -INF:
-                        ok = False
-                        break
-                    rest += m
-                if not ok:
+                for j, c in nz:
+                    if j != i:
+                        rest += min(c * lo[j], c * hi[j])
+                if rest == -INF:
                     continue
                 room = rhs - rest
                 if a > 0:
@@ -538,12 +541,6 @@ class LatticeMap:
         return tuple(out)
 
 
-def identity_map(P):
-    rows = tuple(tuple(Fraction(1 if i == j else 0) for j in range(P.dim))
-                 for i in range(P.dim))
-    return LatticeMap(rows, P, P)
-
-
 def edge_projection(P, coord, L):
     """w -> w_coord / 2 into the interval [0, L] (interior edges carry even
     weight in context)."""
@@ -591,7 +588,7 @@ def fiber_product(P1, f1, P2, f2):
         combined = [Fraction(c) for c in r1] + [-Fraction(c) for c in r2]
         den = 1
         for c in combined:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         eqs.append((tuple(int(c * den) for c in combined), 0))
         s1 = [j for j, c in enumerate(r1) if c != 0]
         s2 = [j for j, c in enumerate(r2) if c != 0]
@@ -608,12 +605,6 @@ def fiber_product(P1, f1, P2, f2):
     poly = GradedPolytope(dim, tuple(ineqs), tuple(eqs),
                           ParityLattice(dim, tuple(psets)), names, trans)
     return FiberProduct(poly, P1, P2, f1, f2, d1, tuple(glued))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- assembly ------------------------------------------------------------

@@ -135,10 +135,6 @@ class TermWeight:
         return cls(lambda p: sigma_squared(transform(p)), "sigma2∘T")
 
     @classmethod
-    def from_table(cls, table, default=0):
-        return cls(lambda p: table.get(tuple(p), default), "table")
-
-    @classmethod
     def zero(cls):
         return cls(lambda p: 0, "zero")
 

@@ -94,6 +94,25 @@ def test_explode(loopy_path, capsys):
     assert len(rep["splitEdges"]) == 1
 
 
+def _explode_hash(path, capsys):
+    assert run(["explode", "--graph", str(path)]) == 0
+    return out_json(capsys)["inputHash"]
+
+
+def test_input_hash_follows_graph_content(tmp_path, capsys):
+    # the same path holding two graphs gives two hashes
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graphs.caterpillar_tree(4).to_json_dict()))
+    first = _explode_hash(path, capsys)
+    path.write_text(json.dumps(graphs.caterpillar_tree(5).to_json_dict()))
+    assert _explode_hash(path, capsys) != first
+    # two paths holding the same graph, written differently, give one hash
+    other = tmp_path / "h.json"
+    other.write_text(json.dumps(graphs.caterpillar_tree(5).to_json_dict(),
+                                indent=2, sort_keys=True))
+    assert _explode_hash(other, capsys) == _explode_hash(path, capsys)
+
+
 def test_blocks(loopy_path, capsys):
     assert run(["blocks", "--graph", loopy_path, "--r", "2,2",
                 "--level", "2"]) == 0

@@ -19,11 +19,13 @@ from spinpoly.polytopes import (
     fiber_product,
     from_graph,
     interval,
+    lattice_points,
     loop_b,
     loop_b2,
     p3,
     p3_fixed1,
     p3_fixed2,
+    point_polytope,
     quadrant,
     recognize_block,
     trinode_cubic_region,
@@ -47,6 +49,9 @@ NAIVE_CASES = [
     (quadrant(1, 1), 2, 2),
     (quadrant(3, 1), 1, 3),
     (trinode_cubic_region(), 2, 3),
+    (point_polytope(), 3, 0),
+    # empty by bounds: the free edge would need 4 <= t <= 0
+    (p3_fixed2(0, 4, 2), 2, 4),
 ]
 
 
@@ -57,10 +62,31 @@ def test_enumerator_matches_naive(P, Nmax, radius):
 
 
 def test_graph_polytope_matches_naive():
-    g = graphs.caterpillar_tree(4)
-    P = from_graph(g, (1, 1, 2, 2), 2)
-    for N in (1, 2):
-        assert list(P.lattice_points(N)) == naive_nonneg_points(P, N, 4 * N)
+    # (polytope, dilations, box radius per dilation); an edge weight of a
+    # level-L graph polytope is at most L·N
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    dbl = graphs.double_edge_at(t4, internal[0])
+    loop = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
+    cases = [
+        (from_graph(t4, (1, 1, 2, 2), 2), (1, 2), 4),
+        # the loop edge occurs twice in its trinode's parity set
+        (from_graph(loop, (2, 2), 2), (0, 1, 2, 3), 2),
+        (from_graph(dbl, (2, 2, 2, 2), 4), (0, 1, 2), 4),
+        # glue equalities between the exploded components
+        (assemble(graphs.explode(dbl), (2, 2, 2, 2), 2).polytope, (1, 2), 2),
+        # empty: the two trinodes force the interior edge odd and even
+        (from_graph(t4, (1, 2, 2, 2), 2), (1, 2), 2),
+    ]
+    for P, dilations, radius in cases:
+        for N in dilations:
+            assert list(P.lattice_points(N)) == \
+                naive_nonneg_points(P, N, radius * N)
+
+
+def test_lattice_points_cache_is_bounded():
+    assert lattice_points.cache_info().maxsize is not None
 
 
 # -- frozen oracles -------------------------------------------------------
@@ -339,6 +365,21 @@ def test_semigroup_containment(L, n1, n2):
     for a in pts1:
         for b in pts2:
             assert tuple(x + y for x, y in zip(a, b)) in total
+
+
+@given(st.lists(st.integers(0, 4), min_size=4, max_size=4),
+       st.integers(1, 3), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_caterpillar_points_sorted_distinct_members(r, L, N):
+    P = from_graph(graphs.caterpillar_tree(4), tuple(r), L)
+    pts = P.lattice_points(N)
+    assert list(pts) == sorted(set(pts))
+    for p in pts:
+        assert P.lattice.contains(p)
+        assert all(sum(a * x for a, x in zip(row, p)) <= b * N
+                   for row, b in P.inequalities)
+        assert all(sum(a * x for a, x in zip(row, p)) == b * N
+                   for row, b in P.equalities)
 
 
 @given(st.integers(1, 3), st.integers(0, 3))
