@@ -7,13 +7,12 @@ witness), 2 usage or input error."""
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
 from .errors import HypothesisViolated, SpinpolyError
 from .graphs import classify, enumerate_graphs, explode, graph_from_json, validate
-from .polytopes import assemble, from_graph, with_full_lattice
+from .polytopes import assemble, from_graph
 from .termorders import is_balanced
 from .toric import (
     hilbert,
@@ -35,9 +34,6 @@ def _build_parser():
         prog="spinpoly",
         description="lattice polytopes of trivalent-graph edge weightings",
     )
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SPINPOLY_THREADS", "1")),
-                   help="accepted for interface compatibility; runs serially")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_graph_args(sp, need_r=True):
@@ -127,7 +123,8 @@ def _emit(report, args, fmt="json"):
     if fmt == "csv":
         text = report
     else:
-        text = json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
+        text = json.dumps(report, separators=(",", ":"), sort_keys=True,
+                          default=str) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -49,10 +49,6 @@ class BaseMismatch(SpinpolyError):
     pass
 
 
-class IncompatibleWeights(SpinpolyError):
-    pass
-
-
 # -- term orders / category ----------------------------------------------
 
 class NotFlag(SpinpolyError):

@@ -126,7 +126,7 @@ class TermWeight:
         return self._fn(point)
 
     def monomial_weight(self, m):
-        return sum(self._fn(p) for p in m.points)
+        return sum(map(self.weight, m.points))
 
     @classmethod
     def sigma2(cls, transform=None):
@@ -144,20 +144,35 @@ class TotalOrder(TermWeight):
 
     point_key(p) starts with the weight and appends the declared tie-break
     coordinates; monomial_key(m) = (degree, total weight, point keys sorted
-    in decreasing order), compared lexicographically."""
+    in decreasing order), compared lexicographically.
+
+    Each order keeps its own point table: a point's weight and key are
+    computed on first use and then looked up, so the lattice transform and
+    the factor orders of a boxtimes order run once per point."""
 
     def __init__(self, fn, key_fn, kind="total"):
         super().__init__(fn, kind)
         self._key = key_fn
+        self._weights = {}
+        self._keys = {}
+
+    def weight(self, point):
+        w = self._weights.get(point)
+        if w is None:
+            w = self._weights[point] = self._fn(point)
+        return w
 
     def point_key(self, point):
-        return self._key(point)
+        k = self._keys.get(point)
+        if k is None:
+            k = self._keys[point] = self._key(point)
+        return k
 
     def monomial_key(self, m):
         return (
             m.degree,
             self.monomial_weight(m),
-            tuple(sorted((self._key(p) for p in m.points), reverse=True)),
+            tuple(sorted(map(self.point_key, m.points), reverse=True)),
         )
 
 
@@ -358,14 +373,20 @@ def is_balanced(P, D, transform=None):
     tset = set(tpts)
     if len(tset) != len(tpts):
         raise NotTotal("lattice transform is not injective on points")
+    # the answer depends only on the fiber (N, target), so decide each once;
+    # a failing fiber returns at once, so only the balanced ones are kept
+    balanced_fibers = set()
     for N in range(2, D + 1):
         for combo in combinations_with_replacement(tpts, N):
             if is_slice_balanced(combo):
                 continue
             target = tuple(map(sum, zip(*combo)))
+            if (N, target) in balanced_fibers:
+                continue
             if not _balanced_decomposition_exists(tset, target, N):
                 native = tuple(pts[tpts.index(q)] for q in combo)
                 return Check(False, Monomial.of(native))
+            balanced_fibers.add((N, target))
     return Check(True)
 
 

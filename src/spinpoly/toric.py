@@ -2,6 +2,8 @@
 ideal generation via fiber-graph connectivity, and quadratic square-free
 Groebner bases checked by standard-monomial counting."""
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 
@@ -99,6 +101,13 @@ class GenerationCertificate:
     witnesses: tuple = ()  # (N, b, required degree) for the tightest fibers
 
 
+def _polytope_id(P):
+    """Content hash of the polytope's inequalities, equalities and parity
+    sets; r and L enter through the right-hand sides."""
+    blob = json.dumps(P.to_json_dict(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 def _fiber_connect_degree(fiber, move_max):
     """Least d <= move_max such that degree-<=d exchanges connect the fiber,
     or None."""
@@ -150,10 +159,10 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
             elif d == overall and len(tight) < 5:
                 tight.append((N, b, d))
     if failed:
-        return GenerationCertificate(str(id(P)), Dmax, None, move_degree_max,
-                                     Dmax, tuple(failed[:5]))
-    return GenerationCertificate(str(id(P)), Dmax, overall, move_degree_max,
-                                 Dmax, tuple(tight))
+        return GenerationCertificate(_polytope_id(P), Dmax, None,
+                                     move_degree_max, Dmax, tuple(failed[:5]))
+    return GenerationCertificate(_polytope_id(P), Dmax, overall,
+                                 move_degree_max, Dmax, tuple(tight))
 
 
 def quadratic_squarefree_gb(P, order, Dmax):

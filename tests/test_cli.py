@@ -4,6 +4,7 @@ import pytest
 
 from spinpoly import graphs
 from spinpoly.cli import main, run
+from spinpoly.polytopes import from_graph
 
 
 @pytest.fixture
@@ -32,6 +33,20 @@ def test_points(t4_path, capsys):
     assert rep["tool"] == "spinpoly"
     assert rep["count"] == 1
     assert len(rep["inputHash"]) == 16
+
+
+def test_points_report_is_compact(t4_path, capsys):
+    assert run(["points", "--graph", t4_path, "--r", "1,1,2,2",
+                "--level", "3"]) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("}\n") and text.count("\n") == 1
+    pts = from_graph(graphs.caterpillar_tree(4), (1, 1, 2, 2), 3) \
+        .lattice_points(1)
+    rep = json.loads(text)
+    assert len(pts) > 1
+    assert {k: rep[k] for k in ("bounds", "count", "points", "tool")} == {
+        "bounds": {"dilation": 1}, "count": len(pts),
+        "points": [list(p) for p in pts], "tool": "spinpoly"}
 
 
 def test_points_out_file(t4_path, tmp_path, capsys):
@@ -159,7 +174,7 @@ def test_main_entrypoint(t4_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_flag_accepted(t4_path, capsys):
+def test_threads_flag_rejected(t4_path, capsys):
     assert run(["--threads", "4", "points", "--graph", t4_path,
-                "--r", "1,1,2,2", "--level", "2"]) == 0
+                "--r", "1,1,2,2", "--level", "2"]) == 2
     capsys.readouterr()

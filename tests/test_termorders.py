@@ -1,12 +1,25 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpoly import graphs
+from spinpoly.catp import boxtimes_assemble
 from spinpoly.errors import NotFlag, NotTotal
-from spinpoly.polytopes import interval, loop_b2, p3, quadrant
+from spinpoly.polytopes import (
+    from_graph,
+    interval,
+    loop_b,
+    loop_b2,
+    p3,
+    p3_fixed1,
+    p3_fixed2,
+    quadrant,
+)
 from spinpoly.termorders import (
+    Check,
     Monomial,
     TermWeight,
     TotalOrder,
@@ -26,6 +39,7 @@ from spinpoly.termorders import (
     sigma2_lex_order,
     sigma_squared,
     standard_monomials,
+    _balanced_decomposition_exists,
 )
 
 
@@ -215,6 +229,45 @@ def test_p3_raw_coordinates_not_balanced():
     assert not chk.ok
 
 
+def _balanced_per_combination(P, D):
+    """Reference: one decomposition search for every unbalanced multiset of
+    raw coordinates, in the same order as is_balanced."""
+    pts = P.lattice_points(1)
+    tset = set(pts)
+    for N in range(2, D + 1):
+        for combo in combinations_with_replacement(pts, N):
+            if is_slice_balanced(combo):
+                continue
+            target = tuple(map(sum, zip(*combo)))
+            if not _balanced_decomposition_exists(tset, target, N):
+                return Check(False, Monomial.of(combo))
+    return Check(True)
+
+
+def _blocks_up_to_level_2():
+    for L in (1, 2):
+        yield from (interval(L), p3(L), p3(L, even_edges=True), loop_b(L),
+                    loop_b2(L))
+        qs = (1, 2, 3, 4) if L == 1 else (1, 3)
+        yield from (quadrant(q, L) for q in qs)
+        for r in range(2 * L + 1):
+            yield p3_fixed1(r, L)
+            yield from (p3_fixed2(r, s, L) for s in range(2 * L + 1))
+    t4 = graphs.caterpillar_tree(4)
+    for r in ((1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2), (2, 2, 0, 0)):
+        yield from (from_graph(t4, r, L) for L in (1, 2, 3))
+
+
+def test_is_balanced_matches_per_combination_reference():
+    # deciding once per fiber keeps the verdict and the first witness
+    checks = []
+    for P in _blocks_up_to_level_2():
+        chk = is_balanced(P, 3, transform=tuple)
+        assert chk == _balanced_per_combination(P, 3)
+        checks.append(chk)
+    assert any(not c.ok for c in checks) and any(c.ok for c in checks)
+
+
 def test_is_balanced_requires_injective_transform():
     P = interval(2)
     with pytest.raises(NotTotal):
@@ -263,3 +316,33 @@ def test_monomial_key_orders_by_degree_then_weight():
     m3 = Monomial.of([(0,), (2,)])
     assert order.monomial_key(m1) < order.monomial_key(m2)
     assert order.monomial_key(m2) < order.monomial_key(m3)
+
+
+def test_point_table_keys_match_fresh_order(monkeypatch):
+    # the boxtimes order of the doubled-edge caterpillar at L=4 nests
+    # cascade and sigma2-lex orders over the lattice transform
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    dbl4 = graphs.double_edge_at(t4, internal[0])
+    wp, _ = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
+    monos = [Monomial(c) for c in
+             combinations_with_replacement(wp.polytope.lattice_points(1), 2)]
+    assert len(monos) > 100
+    # fill the tables in reverse, then read every key back from them
+    filled = [wp.order.monomial_key(m) for m in reversed(monos)][::-1]
+    memo = [wp.order.monomial_key(m) for m in monos]
+    # each order has its own table
+    assert sigma2_lex_order().point_key((1, 0, 0, 0)) == (1, (1, 0, 0, 0))
+    assert b2_cascade_order().point_key((1, 0, 0, 0)) == (1, 0, 0, 1, 0)
+    # a fresh order that recomputes every weight and key on each call, at
+    # each level of the nesting; its monomial keys are assembled from its
+    # point values by the documented rule
+    monkeypatch.setattr(TotalOrder, "weight", lambda self, p: self._fn(p))
+    monkeypatch.setattr(TotalOrder, "point_key", lambda self, p: self._key(p))
+    fresh, _ = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
+    w = {p: fresh.order.weight(p) for p in wp.polytope.lattice_points(1)}
+    k = {p: fresh.order.point_key(p) for p in wp.polytope.lattice_points(1)}
+    expected = [(2, w[p] + w[q], tuple(sorted((k[p], k[q]), reverse=True)))
+                for p, q in (m.points for m in monos)]
+    assert memo == filled == expected

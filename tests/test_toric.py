@@ -108,6 +108,16 @@ def test_tree_like_relations_degree_bound():
     assert cert.relation_degree <= 3
 
 
+def test_relation_certificate_polytope_id_is_content_hash():
+    g = graphs.caterpillar_tree(4)
+
+    def pid(r):
+        return relation_degree(from_graph(g, r, 2), 3, 3).polytope_id
+
+    assert pid((2, 2, 2, 2)) == pid((2, 2, 2, 2))
+    assert pid((2, 2, 2, 2)) != pid((2, 2, 0, 0))
+
+
 def test_degree_two_relations_q1():
     # [DERIVED] the first quadrant at L=1 has exactly one quadratic relation:
     # [1101][0001] = [0101][1001]
