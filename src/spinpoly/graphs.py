@@ -7,13 +7,14 @@ skeletons whose edge weightings the polytope modules enumerate.
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations, product
 import json
 
 from .errors import (
     BadLeafLabels,
     BoundsTooLarge,
     Disconnected,
+    InvalidParams,
     LengthMismatch,
     NonTrivalent,
 )
@@ -559,6 +560,8 @@ def loop_with_leaf():
 def enumerate_graphs(genus, n_leaves, max_vertices=8):
     """All connected trivalent multigraphs with the given first Betti number
     and leaf count, up to isomorphism fixing leaf labels."""
+    if genus < 0 or n_leaves < 0:
+        raise InvalidParams(f"genus {genus} and leaf count {n_leaves} must be >= 0")
     if genus > 2 or n_leaves > 6:
         raise BoundsTooLarge("desk scale is genus <= 2, leaves <= 6")
     n_internal = 2 * genus + n_leaves - 2
@@ -571,62 +574,77 @@ def enumerate_graphs(genus, n_leaves, max_vertices=8):
             return [caterpillar_tree(2)]
         return []
 
-    n_int_edges = 3 * genus + n_leaves - 3
-    internal = list(range(n_internal))
-    # candidate internal edges: unordered pairs including loops
-    slots = [(i, j) for i in internal for j in internal[i:]]
-
-    seen = set()
-    out = []
-    for combo in combinations_with_replacement(slots, n_int_edges):
-        deg = [0] * n_internal
-        for i, j in combo:
-            deg[i] += 1
-            deg[j] += 1
-        if any(d > 3 for d in deg):
+    internal = tuple(range(n_internal))
+    verts = internal + tuple(f"leaf{k}" for k in range(1, n_leaves + 1))
+    leaves = tuple((k, f"leaf{k}") for k in range(1, n_leaves + 1))
+    pairs = [(i, j) for i in internal for j in internal[i:]]
+    deg, shapes, seen, out = [0] * n_internal, set(), set(), []
+    for combo in _edge_multisets(pairs, 3 * genus + n_leaves - 3, deg):
+        # leaves are pendant: connectivity depends on the internal edges only
+        if not _connected(internal, combo):
             continue
-        free = [3 - d for d in deg]
-        if sum(free) != n_leaves:
+        # a relabelling onto an earlier combo of the same shape carries every
+        # leaf assignment of this one to an assignment already seen
+        shape = _canonical_key(n_internal, combo, ())
+        if shape in shapes:
             continue
-        # attach labeled leaves to the free slots
-        for assign in _leaf_assignments(free, n_leaves):
-            verts = list(internal) + [f"leaf{k}" for k in range(1, n_leaves + 1)]
-            edges = list(combo) + [
-                (assign[k - 1], f"leaf{k}") for k in range(1, n_leaves + 1)
-            ]
-            if not _connected(tuple(verts), edges):
-                continue
+        shapes.add(shape)
+        # attach labeled leaves to the free slots, in lexicographic order
+        slots = [v for v in internal for _ in range(3 - deg[v])]
+        for assign in sorted(set(permutations(slots))):
             key = _canonical_key(n_internal, combo, assign)
-            if key in seen:
-                continue
-            seen.add(key)
-            leaves = tuple((k, f"leaf{k}") for k in range(1, n_leaves + 1))
-            out.append(validate(MarkedGraph(tuple(verts), tuple(edges), leaves)))
+            if key not in seen:
+                seen.add(key)
+                edges = combo + tuple((v, f"leaf{k}") for k, v in enumerate(assign, 1))
+                out.append(validate(MarkedGraph(verts, edges, leaves)))
     return out
 
 
-def _leaf_assignments(free, n_leaves):
-    """All maps leaf label -> internal vertex exactly filling the free slots."""
-    def rec(label, free):
-        if label > n_leaves:
-            yield ()
-            return
-        for v, f in enumerate(free):
-            if f > 0:
-                free2 = list(free)
-                free2[v] -= 1
-                for rest in rec(label + 1, free2):
-                    yield (v,) + rest
+def _edge_multisets(pairs, n_edges, deg, start=0, combo=()):
+    """The multisets of n_edges `pairs` that give no vertex degree above 3,
+    in combinations_with_replacement order.  `deg` holds the degrees of the
+    current branch, which stops at the first edge that overfills a vertex."""
+    if len(combo) == n_edges:
+        yield combo
+        return
+    for s in range(start, len(pairs)):
+        i, j = pairs[s]
+        deg[i] += 1
+        deg[j] += 1
+        if deg[i] <= 3 and deg[j] <= 3:
+            yield from _edge_multisets(pairs, n_edges, deg, s, combo + (pairs[s],))
+        deg[i] -= 1
+        deg[j] -= 1
 
-    return rec(1, list(free))
+
+def _ranks(values):
+    index = {x: r for r, x in enumerate(sorted(set(values)))}
+    return [index[x] for x in values]
 
 
 def _canonical_key(n, combo, assign):
-    best = None
-    for perm in permutations(range(n)):
-        edges = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in combo))
-        att = tuple(perm[v] for v in assign)
-        key = (edges, att)
-        if best is None or key < best:
-            best = key
-    return best
+    """Key of internal edges `combo` with leaf k + 1 at vertex assign[k]:
+    equal keys iff the graphs are isomorphic by a map fixing leaf labels.
+
+    Colour refinement: each vertex starts with its loop count and leaf
+    labels, then adds its neighbours' colours (with edge multiplicity) until
+    no colour class splits.  The key is the least (edges, att) relabelling
+    that keeps each colour class in its own block, blocks in colour order."""
+    nbrs = [[j for i, j in combo if i == v != j] + [i for i, j in combo if j == v != i]
+            for v in range(n)]
+    colour = _ranks([(combo.count((v, v)), tuple(k for k, a in enumerate(assign) if a == v))
+                     for v in range(n)])
+    while max(colour) + 1 < n:
+        refined = _ranks([(colour[v], tuple(sorted(colour[w] for w in nbrs[v])))
+                          for v in range(n)])
+        if max(refined) == max(colour):
+            break
+        colour = refined
+    keys = []
+    for blocks in product(*(permutations(v for v in range(n) if colour[v] == c)
+                            for c in range(max(colour) + 1))):
+        order = [v for block in blocks for v in block]
+        perm = [order.index(v) for v in range(n)]
+        keys.append((tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in combo)),
+                     tuple(perm[v] for v in assign)))
+    return min(keys)

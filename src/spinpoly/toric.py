@@ -280,6 +280,8 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         if genus is None or leaves is None or r is None or level is None:
             raise HypothesisViolated("invariance needs genus, leaves, r, level")
         gs = enumerate_graphs(genus, leaves)
+        if not gs:
+            raise HypothesisViolated(f"no graph has genus {genus} and {leaves} leaves")
         tables = []
         for g in gs:
             tables.append(hilbert(from_graph(g, tuple(r), level), nmax).entries)

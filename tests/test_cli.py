@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -143,6 +144,16 @@ def test_verify_invariance(capsys):
     assert rep["result"] is True
 
 
+@pytest.mark.parametrize("genus,leaves,r", [
+    ("0", "1", "2"), ("1", "0", ""), ("-1", "4", "2,2,2,2")])
+def test_verify_invariance_empty_family_exit_2(genus, leaves, r, capsys):
+    # an empty family has no tables to compare: no vacuous pass
+    assert run(["verify", "--theorem", "invariance", "--genus", genus,
+                "--leaves", leaves, "--r", r, "--level", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_verify_polypres_bad_level_exit_2(t4_path, capsys):
     assert run(["verify", "--theorem", "polypres", "--graph", t4_path,
                 "--r", "2,2,2,2", "--level", "1"]) == 2
@@ -155,6 +166,27 @@ def test_graphs_command(capsys):
     rep = out_json(capsys)
     assert rep["count"] == 2
     assert len(rep["graphs"]) == 2
+
+
+def test_graphs_command_output_unchanged(capsys):
+    # sha256 of the report written by the n!-canonicalizing enumerator
+    assert run(["graphs", "--genus", "1", "--leaves", "4"]) == 0
+    text = capsys.readouterr().out.encode()
+    assert hashlib.sha256(text).hexdigest() == \
+        "282f762fa07178d3a1c3cbaf164b2a03222d1207cf6a0df001f0c22f01143d6d"
+
+
+@pytest.mark.parametrize("genus,leaves", [("-1", "4"), ("0", "-1")])
+def test_graphs_negative_bounds_exit_2(genus, leaves, capsys):
+    assert run(["graphs", "--genus", genus, "--leaves", leaves]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be >= 0" in err
+
+
+def test_graphs_empty_family_exit_0(capsys):
+    assert run(["graphs", "--genus", "1", "--leaves", "0"]) == 0
+    rep = out_json(capsys)
+    assert rep["count"] == 0 and rep["graphs"] == []
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,17 +1,25 @@
+from functools import lru_cache
+from itertools import combinations
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinpoly import graphs
 from spinpoly.errors import (
     BadLeafLabels,
     BoundsTooLarge,
     Disconnected,
+    InvalidParams,
     LengthMismatch,
     NonTrivalent,
 )
 from spinpoly.graphs import GraphClass
 from spinpoly.polytopes import from_graph
+
+from helpers import naive_candidates, naive_canonical_key, naive_enumerate_graphs
 
 
 def theta_graph():
@@ -166,8 +174,16 @@ def test_explode_reglue_identity():
     (0, 3, 1),
     (0, 4, 3),
     (0, 5, 15),
+    (0, 6, 105),
     (1, 1, 1),
     (1, 2, 2),
+    (1, 3, 7),
+    (1, 4, 39),
+    (1, 5, 297),
+    (2, 0, 2),
+    (2, 1, 3),
+    (2, 2, 10),
+    (2, 3, 58),
 ])
 def test_enumerate_counts(genus, n, count):
     gs = graphs.enumerate_graphs(genus, n)
@@ -182,6 +198,87 @@ def test_enumerate_bounds():
         graphs.enumerate_graphs(3, 0)
     with pytest.raises(BoundsTooLarge):
         graphs.enumerate_graphs(0, 7)
+
+
+def test_enumerate_rejects_negative_bounds():
+    with pytest.raises(InvalidParams):
+        graphs.enumerate_graphs(-1, 4)
+    with pytest.raises(InvalidParams):
+        graphs.enumerate_graphs(0, -1)
+    assert graphs.enumerate_graphs(1, 0) == []
+
+
+@pytest.mark.parametrize("genus,n", [(0, n) for n in range(2, 7)]
+                         + [(1, n) for n in range(5)] + [(2, n) for n in range(3)])
+def test_enumerate_matches_naive(genus, n):
+    # same graphs in the same order as the n!-key brute force
+    assert graphs.enumerate_graphs(genus, n) == naive_enumerate_graphs(genus, n)
+
+
+def _nx_graph(g):
+    G = nx.MultiGraph()
+    leaf_of = {v: lab for lab, v in g.leaves}
+    G.add_nodes_from((v, {"leaf": leaf_of.get(v, 0)}) for v in g.vertices)
+    G.add_edges_from(g.edges)
+    return G
+
+
+@pytest.mark.parametrize("genus,n", [(0, 6), (1, 4), (2, 3)])
+def test_enumerate_no_two_isomorphic(genus, n):
+    # networkx decides isomorphism fixing leaf labels; hashes bucket the pairs
+    buckets = {}
+    for g in graphs.enumerate_graphs(genus, n):
+        G = _nx_graph(g)
+        h = nx.weisfeiler_lehman_graph_hash(nx.Graph(G), node_attr="leaf")
+        buckets.setdefault(h, []).append(G)
+    for bucket in buckets.values():
+        for G, H in combinations(bucket, 2):
+            assert not nx.is_isomorphic(
+                G, H, node_match=lambda a, b: a["leaf"] == b["leaf"])
+
+
+KEY_FAMILIES = [(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)]
+
+
+@lru_cache(maxsize=None)
+def _candidates(genus, n):
+    """The candidates of the family, and the same grouped by n!-key class."""
+    cands = list(naive_candidates(genus, n))
+    classes = {}
+    for c in cands:
+        classes.setdefault(naive_canonical_key(2 * genus + n - 2, *c), []).append(c)
+    return cands, classes
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_key_invariant_under_relabelling(data):
+    genus, n = data.draw(st.sampled_from(KEY_FAMILIES))
+    n_internal = 2 * genus + n - 2
+    combo, assign = data.draw(st.sampled_from(_candidates(genus, n)[0]))
+    perm = data.draw(st.permutations(range(n_internal)))
+    # relabel the vertices, reorder the edges and flip some of them
+    moved = data.draw(st.permutations([(perm[i], perm[j]) for i, j in combo]))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(moved), max_size=len(moved)))
+    moved = tuple((b, a) if f else (a, b) for (a, b), f in zip(moved, flips))
+    assert graphs._canonical_key(n_internal, moved, tuple(perm[v] for v in assign)) == \
+        graphs._canonical_key(n_internal, combo, assign)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_key_agrees_with_naive_key(data):
+    genus, n = data.draw(st.sampled_from(KEY_FAMILIES))
+    n_internal = 2 * genus + n - 2
+    cands, classes = _candidates(genus, n)
+    a = data.draw(st.sampled_from(cands))
+    # half the draws take b from a's isomorphism class
+    pool = classes[naive_canonical_key(n_internal, *a)] \
+        if data.draw(st.booleans()) else cands
+    b = data.draw(st.sampled_from(pool))
+    same_new = graphs._canonical_key(n_internal, *a) == graphs._canonical_key(n_internal, *b)
+    same_old = naive_canonical_key(n_internal, *a) == naive_canonical_key(n_internal, *b)
+    assert same_new == same_old
 
 
 def test_degree_sum_accounting():
