@@ -241,6 +241,7 @@ def _dispatch(args):
                                   "dmax": args.dmax}, {
             "relationDegree": cert.relation_degree,
             "witnesses": [[n, list(b), d] for n, b, d in cert.witnesses],
+            "minimalRelations": cert.minimal_relations,
         })
         _emit(report, args)
         return 0 if ok else 1

@@ -103,15 +103,6 @@ def _multiset_leq(small, big):
     return all(cb[p] >= m for p, m in cs.items())
 
 
-def multiset_difference_size(m1, m2):
-    """Degree of the exchanged part between two equal-degree monomials."""
-    from collections import Counter
-
-    c1, c2 = Counter(m1.points), Counter(m2.points)
-    common = sum((c1 & c2).values())
-    return m1.degree - common
-
-
 # -- weights and orders ---------------------------------------------------
 
 
@@ -366,31 +357,33 @@ def is_flag(P, order, D):
 def is_balanced(P, D, transform=None):
     """Existential balancedness in lattice coordinates: every multiset of
     2..D lattice points admits a same-size, same-sum multiset of lattice
-    points whose coordinate slices are balanced."""
+    points whose coordinate slices are balanced.  That multiset is a
+    slice-balanced member of the same fiber, so one pass per degree flags the
+    fibers that have one; the witness is the first multiset of the first
+    unflagged fiber, the first multiset with no balanced rewrite."""
     t = transform or P.transform_point
     pts = P.lattice_points(1)
     tpts = [t(p) for p in pts]
-    tset = set(tpts)
-    if len(tset) != len(tpts):
+    if len(set(tpts)) != len(tpts):
         raise NotTotal("lattice transform is not injective on points")
-    # the answer depends only on the fiber (N, target), so decide each once;
-    # a failing fiber returns at once, so only the balanced ones are kept
-    balanced_fibers = set()
     for N in range(2, D + 1):
+        first = {}  # fiber target -> its first multiset
+        balanced = set()
         for combo in combinations_with_replacement(tpts, N):
-            if is_slice_balanced(combo):
-                continue
             target = tuple(map(sum, zip(*combo)))
-            if (N, target) in balanced_fibers:
-                continue
-            if not _balanced_decomposition_exists(tset, target, N):
+            first.setdefault(target, combo)
+            if target not in balanced and is_slice_balanced(combo):
+                balanced.add(target)
+        for target, combo in first.items():
+            if target not in balanced:
                 native = tuple(pts[tpts.index(q)] for q in combo)
                 return Check(False, Monomial.of(native))
-            balanced_fibers.add((N, target))
     return Check(True)
 
 
 def _balanced_decomposition_exists(tset, target, N):
+    """Direct search for a slice-balanced member of one fiber; the
+    reference for is_balanced."""
     dim = len(target)
     lo = [t // N for t in target]
     # slice k uses values in {lo, lo+1} with (target - N*lo) entries raised

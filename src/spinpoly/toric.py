@@ -29,7 +29,6 @@ from .termorders import (
     TotalOrder,
     is_balanced,
     monomials_by_image,
-    multiset_difference_size,
     sigma2_lex_order,
     _fiber_minima,
 )
@@ -99,6 +98,7 @@ class GenerationCertificate:
     move_degree_max: int
     dmax: int
     witnesses: tuple = ()  # (N, b, required degree) for the tightest fibers
+    minimal_relations: dict = field(default_factory=dict)  # N -> generators
 
 
 def _polytope_id(P):
@@ -108,37 +108,45 @@ def _polytope_id(P):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _fiber_connect_degree(fiber, move_max):
-    """Least d <= move_max such that degree-<=d exchanges connect the fiber,
-    or None."""
-    n = len(fiber)
-    if n <= 1:
-        return 1
-    diffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            diffs[(i, j)] = multiset_difference_size(fiber[i], fiber[j])
-    for d in range(2, move_max + 1):
-        parent = list(range(n))
+def _lifted_spanning_tree(fiber, b, lower, N):
+    """Minimum spanning tree of a degree-N fiber, as (w, u, v) edges of
+    exchange size w.  Monomials that differ in w < N points share a point p,
+    and their quotients by p differ in the same points inside fiber b - p; so
+    the lifts by p of the trees of the fibers b - p (`lower`) connect what the
+    exchange graph connects below weight N.  Weight-N edges join the rest."""
+    index = {m.points: i for i, m in enumerate(fiber)}
+    edges = []
+    for p in sorted({q for m in fiber for q in m.points}):
+        sub = tuple(x - y for x, y in zip(b, p))
+        edges += [(w, p, u, v) for w, u, v in lower.get(sub, ())]
+    edges.sort(key=lambda e: e[0])
+    parent = list(range(len(fiber)))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-        for (i, j), s in diffs.items():
-            if s <= d:
-                parent[find(i)] = find(j)
-        if len({find(i) for i in range(n)}) == 1:
-            return d
-    return None
+    tree = []
+    for w, p, u, v in edges:
+        if len(tree) == len(fiber) - 1:
+            break
+        u, v = tuple(sorted(u + (p,))), tuple(sorted(v + (p,)))
+        i, j = find(index[u]), find(index[v])
+        if i != j:
+            parent[i] = j
+            tree.append((w, u, v))
+    roots = [fiber[i].points for i in range(len(fiber)) if find(i) == i]
+    return tree + [(N, roots[0], r) for r in roots[1:]]
 
 
 def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     """Fiber-graph connectivity: the toric ideal is generated in degree <= d
     (up to the checked bound) iff every fiber of every degree <= Dmax is
-    connected by exchanges of sub-multisets of size <= d."""
+    connected by exchanges of sub-multisets of size <= d.  A fiber's least d
+    is the heaviest edge of its lifted spanning tree; its weight-N edges, one
+    per extra component of monomials linked by shared points, count the
+    degree-N minimal generators (Diaconis-Sturmfels 1998)."""
     if check_normal:
         chk = is_normal(P, Dmax)
         if not chk.ok:
@@ -146,12 +154,20 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     overall = 1
     tight = []
     failed = []
+    minimal = {}
+    trees = {}
     for N in range(2, Dmax + 1):
+        lower, trees = trees, {}
+        minimal[N] = 0
         for b, fiber in monomials_by_image(P, N).items():
             if len(fiber) <= 1:
                 continue
-            d = _fiber_connect_degree(fiber, move_degree_max)
-            if d is None:
+            tree = _lifted_spanning_tree(fiber, b, lower, N)
+            if N < Dmax:
+                trees[b] = tree
+            minimal[N] += sum(w == N for w, _, _ in tree)
+            d = max(w for w, _, _ in tree)
+            if d > move_degree_max:
                 failed.append((N, b))
             elif d > overall:
                 overall = d
@@ -159,10 +175,9 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
             elif d == overall and len(tight) < 5:
                 tight.append((N, b, d))
     if failed:
-        return GenerationCertificate(_polytope_id(P), Dmax, None,
-                                     move_degree_max, Dmax, tuple(failed[:5]))
+        overall, tight = None, failed[:5]
     return GenerationCertificate(_polytope_id(P), Dmax, overall,
-                                 move_degree_max, Dmax, tuple(tight))
+                                 move_degree_max, Dmax, tuple(tight), minimal)
 
 
 def quadratic_squarefree_gb(P, order, Dmax):

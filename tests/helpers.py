@@ -3,9 +3,21 @@
 Deliberately naive: box scans with no propagation or pruning, so results are
 computed by a different route than the library's enumerator."""
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
 from spinpoly.graphs import MarkedGraph, _connected, caterpillar_tree, validate
+from spinpoly.polytopes import (
+    interval,
+    loop_b,
+    loop_b2,
+    p3,
+    p3_fixed1,
+    p3_fixed2,
+    quadrant,
+)
+from spinpoly.termorders import monomials_by_image
+from spinpoly.toric import GenerationCertificate, _polytope_id
 
 
 def naive_points(P, N, radius=None):
@@ -133,3 +145,80 @@ def naive_canonical_key(n, combo, assign):
         if best is None or key < best:
             best = key
     return best
+
+
+def multiset_difference_size(m1, m2):
+    """Degree of the exchanged part between two equal-degree monomials: the
+    points of m2 left after striking out each point of m1 once."""
+    rest = list(m2.points)
+    for p in m1.points:
+        if p in rest:
+            rest.remove(p)
+    return len(rest)
+
+
+@lru_cache(maxsize=8)  # the degrees of the polytope under test
+def _pairwise_exchanges(P, N):
+    """Per degree-N fiber with two or more monomials: its image, size and
+    the exchange size of every pair of its monomials."""
+    out = []
+    for b, fiber in monomials_by_image(P, N).items():
+        n = len(fiber)
+        if n > 1:
+            out.append((b, n, [(i, j, multiset_difference_size(fiber[i], fiber[j]))
+                               for i in range(n) for j in range(i + 1, n)]))
+    return out
+
+
+def _components(n, pairs):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    return len({find(i) for i in range(n)})
+
+
+def naive_relation_degree(P, move_degree_max, Dmax):
+    """relation_degree by the pairwise search: the exchange size of every
+    pair of monomials in every fiber, then the least d <= move_degree_max
+    whose exchanges of size <= d connect the fiber.  A degree-N fiber adds
+    its number of components under exchanges of size < N (monomials that
+    share a point), minus one, to the minimal relation count.  No
+    normality check."""
+    overall, tight, failed, minimal = 1, [], [], {}
+    for N in range(2, Dmax + 1):
+        minimal[N] = 0
+        for b, n, diffs in _pairwise_exchanges(P, N):
+            def parts(d):
+                return _components(n, [(i, j) for i, j, s in diffs if s <= d])
+
+            minimal[N] += parts(N - 1) - 1
+            d = next((d for d in range(2, move_degree_max + 1)
+                      if parts(d) == 1), None)
+            if d is None:
+                failed.append((N, b))
+            elif d > overall:
+                overall, tight = d, [(N, b, d)]
+            elif d == overall and len(tight) < 5:
+                tight.append((N, b, d))
+    if failed:
+        overall, tight = None, failed[:5]
+    return GenerationCertificate(_polytope_id(P), Dmax, overall,
+                                 move_degree_max, Dmax, tuple(tight), minimal)
+
+
+def blocks_up_to_level_2():
+    """Every building block at L = 1 and 2."""
+    for L in (1, 2):
+        yield from (interval(L), p3(L), p3(L, even_edges=True), loop_b(L),
+                    loop_b2(L))
+        qs = (1, 2, 3, 4) if L == 1 else (1, 3)
+        yield from (quadrant(q, L) for q in qs)
+        for r in range(2 * L + 1):
+            yield p3_fixed1(r, L)
+            yield from (p3_fixed2(r, s, L) for s in range(2 * L + 1))

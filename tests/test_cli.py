@@ -85,6 +85,7 @@ def test_relations(loopy_path, capsys):
                 "--level", "2"]) == 0
     rep = out_json(capsys)
     assert rep["relationDegree"] <= 3
+    assert set(rep["minimalRelations"]) == {"2", "3", "4"}
 
 
 def test_gb_check(t4_path, capsys):

@@ -7,17 +7,8 @@ from hypothesis import strategies as st
 
 from spinpoly import graphs
 from spinpoly.catp import boxtimes_assemble
-from spinpoly.errors import NotFlag, NotTotal
-from spinpoly.polytopes import (
-    from_graph,
-    interval,
-    loop_b,
-    loop_b2,
-    p3,
-    p3_fixed1,
-    p3_fixed2,
-    quadrant,
-)
+from spinpoly.errors import NotFlag, NotTotal, ParityViolation
+from spinpoly.polytopes import from_graph, interval, loop_b2, p3, quadrant
 from spinpoly.termorders import (
     Check,
     Monomial,
@@ -35,12 +26,13 @@ from spinpoly.termorders import (
     is_slice_balanced,
     is_standard,
     monomials_by_image,
-    multiset_difference_size,
     sigma2_lex_order,
     sigma_squared,
     standard_monomials,
     _balanced_decomposition_exists,
 )
+
+from helpers import blocks_up_to_level_2, multiset_difference_size
 
 
 # -- balancing ------------------------------------------------------------
@@ -229,42 +221,51 @@ def test_p3_raw_coordinates_not_balanced():
     assert not chk.ok
 
 
-def _balanced_per_combination(P, D):
-    """Reference: one decomposition search for every unbalanced multiset of
-    raw coordinates, in the same order as is_balanced."""
+def _balanced_per_combination(P, D, transform):
+    """Reference: a decomposition search for every unbalanced multiset of
+    transformed coordinates, in combination order (remembered per fiber)."""
     pts = P.lattice_points(1)
-    tset = set(pts)
+    tpts = [transform(p) for p in pts]
+    tset = set(tpts)
     for N in range(2, D + 1):
-        for combo in combinations_with_replacement(pts, N):
+        found = {}
+        for combo in combinations_with_replacement(tpts, N):
             if is_slice_balanced(combo):
                 continue
             target = tuple(map(sum, zip(*combo)))
-            if not _balanced_decomposition_exists(tset, target, N):
-                return Check(False, Monomial.of(combo))
+            if target not in found:
+                found[target] = _balanced_decomposition_exists(tset, target, N)
+            if not found[target]:
+                native = tuple(pts[tpts.index(q)] for q in combo)
+                return Check(False, Monomial.of(native))
     return Check(True)
 
 
-def _blocks_up_to_level_2():
-    for L in (1, 2):
-        yield from (interval(L), p3(L), p3(L, even_edges=True), loop_b(L),
-                    loop_b2(L))
-        qs = (1, 2, 3, 4) if L == 1 else (1, 3)
-        yield from (quadrant(q, L) for q in qs)
-        for r in range(2 * L + 1):
-            yield p3_fixed1(r, L)
-            yield from (p3_fixed2(r, s, L) for s in range(2 * L + 1))
+def _balancedness_instances():
+    """(polytope, transforms): blocks in raw and, where they have a lattice
+    map, lattice coordinates; graph polytopes in raw ones."""
+    for P in (*blocks_up_to_level_2(), quadrant(1, 3), quadrant(3, 3), p3(3)):
+        yield P, (tuple, P.transform_point) if P.to_lattice else (tuple,)
     t4 = graphs.caterpillar_tree(4)
     for r in ((1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2), (2, 2, 0, 0)):
-        yield from (from_graph(t4, r, L) for L in (1, 2, 3))
+        yield from ((from_graph(t4, r, L), (tuple,)) for L in (1, 2, 3))
 
 
 def test_is_balanced_matches_per_combination_reference():
-    # deciding once per fiber keeps the verdict and the first witness
+    # flagging fibers by membership keeps the verdict and the first witness;
+    # p3_fixed2(1, 1, L) has a lattice map that is not integral on its points
     checks = []
-    for P in _blocks_up_to_level_2():
-        chk = is_balanced(P, 3, transform=tuple)
-        assert chk == _balanced_per_combination(P, 3)
-        checks.append(chk)
+    for P, transforms in _balancedness_instances():
+        for transform in transforms:
+            try:
+                expected = _balanced_per_combination(P, 3, transform)
+            except ParityViolation:
+                with pytest.raises(ParityViolation):
+                    is_balanced(P, 3, transform=transform)
+                continue
+            chk = is_balanced(P, 3, transform=transform)
+            assert chk == expected
+            checks.append(chk)
     assert any(not c.ok for c in checks) and any(c.ok for c in checks)
 
 

@@ -26,7 +26,10 @@ from spinpoly.toric import (
     relation_degree,
     two_dim_balanced_order,
     verify_theorem,
+    _lifted_spanning_tree,
 )
+
+from helpers import blocks_up_to_level_2, naive_relation_degree
 
 
 # -- hilbert --------------------------------------------------------------
@@ -94,6 +97,57 @@ def test_cubic_region_needs_degree_three():
     cert = relation_degree(trinode_cubic_region(), 3, 4)
     assert cert.relation_degree == 3
     assert any(n == 3 and b == (4, 4, 4) for n, b, d in cert.witnesses)
+
+
+def dbl4():
+    """The 4-leaf caterpillar with its internal edge doubled."""
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    return graphs.double_edge_at(t4, internal[0])
+
+
+def _relation_instances():
+    yield from blocks_up_to_level_2()
+    yield trinode_cubic_region()
+    loop3 = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
+    yield from_graph(loop3, (2, 2), 2)
+    yield from_graph(dbl4(), (2, 2, 2, 2), 2)
+
+
+def test_relation_degree_matches_pairwise_search():
+    # lifted spanning trees give the same certificate as comparing every
+    # pair of monomials, witnesses and minimal-relation counts included
+    certs = []
+    for P in _relation_instances():
+        for move_max in (1, 2, 3):
+            cert = relation_degree(P, move_max, 3, check_normal=False)
+            assert cert == naive_relation_degree(P, move_max, 3)
+            certs.append(cert)
+    assert {None, 2, 3} <= {c.relation_degree for c in certs}
+    assert any(c.minimal_relations[3] for c in certs)
+
+
+def test_lifted_spanning_tree_takes_light_edges_first():
+    # u, v differ in 3 points but are joined through w by two exchanges of
+    # size 2; lifted by the point 0, the tree keeps the two light edges
+    u, v, w = ((1,), (2,), (6,)), ((3,), (3,), (3,)), ((1,), (3,), (5,))
+    fiber = [Monomial(((0,),) + m) for m in (u, v, w)]
+    lower = {(9,): [(3, u, v), (2, u, w), (2, w, v)]}
+    tree = _lifted_spanning_tree(fiber, (9,), lower, 4)
+    assert [e[0] for e in tree] == [2, 2]
+    assert {e[1] for e in tree} <= {m.points for m in fiber}
+
+
+@pytest.mark.parametrize("P, counts", [
+    (lambda: from_graph(dbl4(), (2, 2, 2, 2), 4), {2: 336, 3: 0, 4: 0}),
+    (lambda: from_graph(graphs.caterpillar_tree(6), (2,) * 6, 4),
+     {2: 21, 3: 0, 4: 0}),
+    (trinode_cubic_region, {2: 0, 3: 1, 4: 0}),
+])
+def test_minimal_relation_counts(P, counts):
+    cert = relation_degree(P(), 4, 4, check_normal=False)
+    assert cert.minimal_relations == counts
 
 
 def test_relation_degree_requires_normality():
