@@ -240,7 +240,8 @@ def _dispatch(args):
         report = _envelope(args, {"moveMax": args.move_max,
                                   "dmax": args.dmax}, {
             "relationDegree": cert.relation_degree,
-            "witnesses": [[n, list(b), d] for n, b, d in cert.witnesses],
+            # (N, b, d) for the tightest fibers, (N, b) for failing ones
+            "witnesses": [[w[0], list(w[1]), *w[2:]] for w in cert.witnesses],
             "minimalRelations": cert.minimal_relations,
         })
         _emit(report, args)

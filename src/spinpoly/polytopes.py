@@ -77,120 +77,176 @@ class GradedPolytope:
 
 @lru_cache(maxsize=512)  # bounded; holds the repeats of one verification run
 def lattice_points(P, N):
-    """All lattice members of the N-th dilation, lexicographically sorted."""
+    """All lattice members of the N-th dilation, lexicographically sorted.
+
+    The search is split in two.  `_plan(P)`, built once per polytope, holds
+    what does not depend on N.  Each N then propagates integer bounds, places
+    the pinned coordinates (lo == hi) once, decides the rows and parity sets
+    left with no free coordinate, and searches the free coordinates in index
+    order, so the points come out sorted without a sort.  ups[k] and downs[k]
+    bound the coordinate at search position k from above and below: (row,
+    |coefficient|, minus the row's least contribution from later positions),
+    read against partial[row], the placed part of the row minus its rhs."""
     if N < 0:
         raise InvalidParams("dilation must be nonnegative")
-    rows = [(r, rhs * N) for r, rhs in P.inequalities]
-    for r, rhs in P.equalities:
-        rows.append((r, rhs * N))
-        rows.append((tuple(-c for c in r), -rhs * N))
-    if P.dim == 0:
-        return ((),) if all(0 <= rhs for _, rhs in rows) else ()
-
-    lo, hi = _propagate_bounds(P.dim, rows)
+    plan = _plan(P)
+    rows, touching, _, parity = plan
+    lo, hi = _propagate_bounds(P.dim, plan, N)
     if lo is None:
-        return tuple()
+        return ()
+    free = [j for j in range(P.dim) if lo[j] < hi[j]]
+    pos = {j: k for k, j in enumerate(free)}
+    point = list(lo)  # original coordinate order; pinned values placed once
+    partial = []
+    for nz, b in rows:
+        partial.append(sum(a * lo[j] for j, a in nz if j not in pos) - N * b)
+        if partial[-1] > 0 and not any(j in pos for j, _ in nz):
+            return ()
+    # a parity set is decided where its last free coordinate x_j is placed:
+    # the rest of the set fixes the parity of x_j
+    checks = [[] for _ in free]
+    for s in parity:
+        odd = sum(point[i] for i in s if i not in pos) % 2
+        others = [i for i in s if i in pos]
+        if not others:
+            if odd:
+                return ()
+            continue
+        k = max(map(pos.get, others))
+        others.remove(free[k])
+        checks[k].append((others, odd))
+    if not free:
+        return (tuple(point),)
 
-    # Search pinned coordinates (lo == hi) first, then the rest in index
-    # order, so parity sets are decided early.  A pinned coordinate takes one
-    # value, so the points still come out sorted.  caps[k] lists, for the rows
-    # touching the coordinate at search position k, (row, coefficient,
-    # rhs minus the row's least contribution from later positions).
-    order = sorted(range(P.dim), key=lambda j: lo[j] < hi[j])
     smin = [0] * len(rows)
-    caps = [None] * P.dim
-    for k in range(P.dim - 1, -1, -1):
-        j = order[k]
-        caps[k] = [(c, r[j], rows[c][1] - smin[c])
-                   for c, (r, _) in enumerate(rows) if r[j]]
-        for c, a, _ in caps[k]:
-            smin[c] += min(a * lo[j], a * hi[j])
-
-    # a parity set is decided where its last coordinate j is placed: the
-    # rest of the set fixes the parity of x_j if j occurs an odd number of
-    # times in it, and passes or fails the node otherwise
-    pos = {j: k for k, j in enumerate(order)}
-    checks = [[] for _ in range(P.dim)]
-    for s in filter(None, P.lattice.parity_sets):
-        k = max(pos[i] for i in s)
-        j = order[k]
-        checks[k].append((tuple(i for i in s if i != j), s.count(j) % 2))
-
+    ups, downs = [None] * len(free), [None] * len(free)
+    for k in range(len(free) - 1, -1, -1):
+        j = free[k]
+        touch = touching[j]
+        ups[k] = [(c, a, -smin[c]) for c, a in touch if a > 0]
+        downs[k] = [(c, -a, -smin[c]) for c, a in touch if a < 0]
+        for c, a in touch:
+            smin[c] += a * (lo[j] if a > 0 else hi[j])
     out = []
-    point = [0] * P.dim  # original coordinate order
-    partial = [0] * len(rows)
+    last = len(free) - 1
 
     def dfs(k):
-        j = order[k]
+        j = free[k]
         xlo, xhi = lo[j], hi[j]
-        for c, a, cap in caps[k]:
-            room = cap - partial[c]
-            if a > 0:
-                xhi = min(xhi, room // a)
-            else:
-                # a*x <= room with a < 0  ->  x >= ceil(room/a)
-                xlo = max(xlo, -(room // (-a)))
+        for c, a, cap in ups[k]:
+            x = (cap - partial[c]) // a
+            if x < xhi:
+                xhi = x
+        for c, a, cap in downs[k]:
+            x = -((cap - partial[c]) // a)
+            if x > xlo:
+                xlo = x
         par = None
         for others, odd in checks[k]:
-            p = sum(point[i] for i in others) % 2
-            if (p and not odd) or (odd and par not in (None, p)):
-                return  # odd whatever x_j is, or two sets disagree on it
-            if odd:
+            p = (odd + sum(point[i] for i in others)) % 2
+            if par is None:
                 par = p
+            elif p != par:
+                return  # two sets disagree on the parity of x_j
         if par is not None and xlo % 2 != par:
             xlo += 1
         xs = range(xlo, xhi + 1, 1 if par is None else 2)
-        if k == P.dim - 1:
+        if k == last:
             for x in xs:
                 point[j] = x
                 out.append(tuple(point))
             return
+        touch = touching[j]
         for x in xs:
             point[j] = x
-            for c, a, _ in caps[k]:
+            for c, a in touch:
                 partial[c] += a * x
             dfs(k + 1)
-            for c, a, _ in caps[k]:
+            for c, a in touch:
                 partial[c] -= a * x
 
     dfs(0)
     return tuple(out)
 
 
-def _propagate_bounds(dim, rows):
+@lru_cache(maxsize=8)  # hilbert, is_normal and the GB check walk N on one P
+def _plan(P):
+    """The N-independent part of P's lattice-point search, as (rows,
+    touching, units, parity): the rows other than single-coordinate ones as
+    (((j, a), ...), b) for a·x <= N·b, the (row, a) pairs touching each
+    coordinate, the single-coordinate rows as (j, a, b), which seed the
+    bounds, and the parity sets reduced mod 2 to the coordinates they hold
+    an odd number of times, empty ones dropped."""
+    rows, units, touching = [], [], [[] for _ in range(P.dim)]
+    negated = tuple((tuple(-a for a in r), -b) for r, b in P.equalities)
+    for r, b in P.inequalities + P.equalities + negated:
+        nz = tuple((j, a) for j, a in enumerate(r) if a)
+        if len(nz) == 1:
+            units.append((*nz[0], b))
+            continue
+        for j, a in nz:
+            touching[j].append((len(rows), a))
+        rows.append((nz, b))
+    odd = ({i for i in s if s.count(i) % 2} for s in P.lattice.parity_sets)
+    return rows, touching, units, [sorted(s) for s in odd if s]
+
+
+def _propagate_bounds(dim, plan, N):
     """Exact interval propagation; returns (lo, hi) or (None, None) if
-    infeasible; raises Unbounded if a coordinate cannot be bounded."""
-    lo = [-INF] * dim
-    hi = [INF] * dim
-    sparse = [([(j, a) for j, a in enumerate(r) if a], rhs) for r, rhs in rows]
-    for _ in range(2 * dim + 6):
-        changed = False
-        for nz, rhs in sparse:
-            for i, a in nz:
-                rest = 0
-                for j, c in nz:
-                    if j != i:
-                        rest += min(c * lo[j], c * hi[j])
-                if rest == -INF:
+    infeasible; raises Unbounded if a coordinate cannot be bounded.
+
+    The single-coordinate rows seed the bounds.  A worklist then revisits a
+    row only when a bound its least value reads has tightened (lo of a
+    positive coefficient, hi of a negative one), and sums that least value
+    once per visit; it stops after 2·dim + 6 visits per row."""
+    rows, touching, units, _ = plan
+    lo, hi = [-INF] * dim, [INF] * dim
+    for j, a, b in units:
+        if a > 0:
+            hi[j] = min(hi[j], N * b // a)
+        else:
+            lo[j] = max(lo[j], -(N * b // -a))
+    queue = list(range(len(rows)))  # a stack: fewer visits than a queue
+    queued = [True] * len(rows)
+    budget = (2 * dim + 6) * len(rows)
+    while queue and budget:
+        budget -= 1
+        c = queue.pop()
+        queued[c] = False
+        nz, b = rows[c]
+        terms = [a * lo[j] if a > 0 else a * hi[j] for j, a in nz]
+        least = sum(terms)
+        tighten = range(len(nz))
+        if least == -INF:  # one unbounded term bounds its own coordinate only
+            tighten = [i for i, t in enumerate(terms) if t == -INF]
+            if len(tighten) > 1:
+                continue
+            terms[tighten[0]] = 0
+            least = sum(terms)
+        for i in tighten:
+            j, a = nz[i]
+            room = N * b - least + terms[i]
+            if a > 0:
+                x = room // a
+                if x >= hi[j]:
                     continue
-                room = rhs - rest
-                if a > 0:
-                    b = room // a
-                    if b < hi[i]:
-                        hi[i] = b
-                        changed = True
-                else:
-                    b = -(room // (-a))
-                    if b > lo[i]:
-                        lo[i] = b
-                        changed = True
-        if any(lo[i] > hi[i] for i in range(dim)):
-            return None, None
-        if not changed:
-            break
-    if any(lo[i] == -INF or hi[i] == INF for i in range(dim)):
+                hi[j] = x
+            else:
+                x = -(room // -a)
+                if x <= lo[j]:
+                    continue
+                lo[j] = x
+            if lo[j] > hi[j]:
+                return None, None
+            for c2, a2 in touching[j]:
+                if (a2 > 0) != (a > 0) and not queued[c2]:
+                    queued[c2] = True
+                    queue.append(c2)
+    if any(l > h for l, h in zip(lo, hi)):
+        return None, None
+    if INF in hi or -INF in lo:
         raise Unbounded("could not bound all coordinates")
-    return [int(x) for x in lo], [int(x) for x in hi]
+    return lo, hi
 
 
 # -- graph polytopes -----------------------------------------------------
@@ -388,16 +444,18 @@ def p3_fixed1(r, L, even_edges=False):
 
 def p3_fixed2(r, s, L):
     """Trinode with two edges pinned to r and s; the free weight t ranges
-    over |r-s| <= t <= min(r+s, 2L-r-s) with t = r+s mod 2."""
+    over |r-s| <= t <= min(r+s, 2L-r-s) with t = r+s mod 2.  For r + s even
+    the lattice map halves t, and r and s too when they are even."""
     if r < 0 or s < 0 or L < 0 or r > 2 * L or s > 2 * L:
         raise InvalidParams(f"need 0 <= r,s <= 2L, got r={r}, s={s}, L={L}")
     base = p3(L)
     eqs = ((_unit(3, 0), r), (_unit(3, 1), s))
     trans = None
     if (r + s) % 2 == 0:
+        h = Fraction(1) if r % 2 else _HALF
         trans = (
-            (_HALF, Fraction(0), Fraction(0)),
-            (Fraction(0), _HALF, Fraction(0)),
+            (h, Fraction(0), Fraction(0)),
+            (Fraction(0), h, Fraction(0)),
             (Fraction(0), Fraction(0), _HALF),
         )
     return GradedPolytope(3, base.inequalities, eqs,
@@ -441,20 +499,6 @@ def loop_b2(L):
     )
     return GradedPolytope(4, tuple(ineqs), (), ParityLattice(4, psets),
                           ("a", "y1", "y2", "c"), trans)
-
-
-def building_block(kind):
-    table = {
-        "interval": interval,
-        "p3": p3,
-        "p3_fixed1": p3_fixed1,
-        "p3_fixed2": p3_fixed2,
-        "loop_b": loop_b,
-        "loop_b2": loop_b2,
-    }
-    if kind.name not in table:
-        raise InvalidParams(f"unknown block kind {kind.name!r}")
-    return table[kind.name](*kind.params)
 
 
 def with_full_lattice(P):

@@ -316,18 +316,6 @@ class Check:
         return self.ok
 
 
-def standard_pairs_and_powers(P, order):
-    """(set of standard degree-2 monomials, whether all squares standard)."""
-    std2 = set()
-    squares_ok = True
-    for b, fiber in monomials_by_image(P, 2).items():
-        std2.update(_fiber_minima(fiber, order))
-    for p in P.lattice_points(1):
-        if Monomial.of((p, p)) not in std2:
-            squares_ok = False
-    return std2, squares_ok
-
-
 def is_flag(P, order, D):
     """Check that standardness is equivalent to 'all degree-2 divisors and
     the matching pure powers are standard', for all monomials of degree <= D.
@@ -418,7 +406,8 @@ def initial_complex_maximal_faces(P, order, D):
         raise NotFlag(f"order is not flag to degree {D}: {chk.witness}")
     import networkx as nx
 
-    std2, _ = standard_pairs_and_powers(P, order)
+    std2 = {m for fiber in monomials_by_image(P, 2).values()
+            for m in _fiber_minima(fiber, order)}
     pts = list(P.lattice_points(1))
     G = nx.Graph()
     G.add_nodes_from(pts)

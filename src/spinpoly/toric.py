@@ -6,6 +6,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import (
     HypothesisViolated,
@@ -195,40 +196,39 @@ def quadratic_squarefree_gb(P, order, Dmax):
         if Monomial.of((p, p)) not in std2:
             return Check(False, {"reason": "square leading term",
                                  "witness": Monomial.of((p, p))})
-    # pair-standard adjacency (includes self-loops from squares)
-    ok_pair = {(p, q) for p in pts for q in pts
-               if p <= q and Monomial.of((p, q)) in std2}
     table = hilbert(P, Dmax)
+    counts = _pair_standard_counts(pts, std2, Dmax)
     for N in range(2, Dmax + 1):
-        count = _count_pair_standard_multisets(pts, ok_pair, N)
-        if count != table[N]:
+        if counts[N] != table[N]:
             return Check(False, {"reason": "count mismatch", "degree": N,
-                                 "standard_count": count,
+                                 "standard_count": counts[N],
                                  "hilbert": table[N]})
     return Check(True, {"checked": Dmax, "relations": len(
         [1 for b, f in monomials_by_image(P, 2).items() for m in f]) - len(std2)})
 
 
-def _count_pair_standard_multisets(pts, ok_pair, N):
-    """Nondecreasing sequences p1 <= ... <= pN with every pair standard."""
+def _pair_standard_counts(pts, std2, Dmax):
+    """{N: number of degree-N multisets of points whose distinct points are
+    pairwise standard} for 2 <= N <= Dmax; squares must be standard.  Their
+    supports are the cliques of the standard-pair graph, and a k-clique
+    carries C(N-1, k-1) multisets of degree N, so the count is the sum over
+    k of f_k·C(N-1, k-1), f_k the number of k-cliques: the Hilbert function
+    of the graph's Stanley-Reisner ring (Sturmfels 1996, ch. 8)."""
     n = len(pts)
-    count = 0
-    chosen = []
+    later = [{j for j in range(i + 1, n)
+              if Monomial.of((pts[i], pts[j])) in std2} for i in range(n)]
+    f = [0] * (Dmax + 2)  # f[k]: k-cliques, k <= max(Dmax, 1)
 
-    def dfs(start, rem):
-        nonlocal count
-        if rem == 0:
-            count += 1
-            return
-        for i in range(start, n):
-            p = pts[i]
-            if all((q, p) in ok_pair for q in chosen):
-                chosen.append(p)
-                dfs(i, rem - 1)
-                chosen.pop()
+    def extend(k, common):
+        f[k] += 1
+        if k < Dmax:
+            for j in common:
+                extend(k + 1, common & later[j])
 
-    dfs(0, N)
-    return count
+    for i in range(n):
+        extend(1, later[i])
+    return {N: sum(f[k] * comb(N - 1, k - 1) for k in range(1, N + 1))
+            for N in range(2, Dmax + 1)}
 
 
 def two_dim_balanced_order(P, balance_depth=3):

@@ -222,3 +222,26 @@ def blocks_up_to_level_2():
         for r in range(2 * L + 1):
             yield p3_fixed1(r, L)
             yield from (p3_fixed2(r, s, L) for s in range(2 * L + 1))
+
+
+def count_pair_standard_multisets(pts, ok_pair, N):
+    """Nondecreasing sequences p1 <= ... <= pN with every pair (pi, pj),
+    i < j, in ok_pair: the standard-monomial count by direct search."""
+    n = len(pts)
+    count = 0
+    chosen = []
+
+    def dfs(start, rem):
+        nonlocal count
+        if rem == 0:
+            count += 1
+            return
+        for i in range(start, n):
+            p = pts[i]
+            if all((q, p) in ok_pair for q in chosen):
+                chosen.append(p)
+                dfs(i, rem - 1)
+                chosen.pop()
+
+    dfs(0, N)
+    return count

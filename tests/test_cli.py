@@ -88,6 +88,18 @@ def test_relations(loopy_path, capsys):
     assert set(rep["minimalRelations"]) == {"2", "3", "4"}
 
 
+def test_relations_reports_move_bound_failure(loopy_path, capsys):
+    # fibers that moves of degree 1 cannot connect: exit 1 with a report
+    # whose witnesses are (N, fiber) pairs
+    assert run(["relations", "--graph", loopy_path, "--r", "2,2",
+                "--level", "4", "--move-max", "1", "--dmax", "3"]) == 1
+    rep = out_json(capsys)
+    assert rep["relationDegree"] is None
+    assert rep["witnesses"]
+    for n, b in rep["witnesses"]:
+        assert n in (2, 3) and len(b) == 4
+
+
 def test_gb_check(t4_path, capsys):
     assert run(["gb-check", "--graph", t4_path, "--r", "2,2,2,2",
                 "--level", "2", "--dmax", "3"]) == 0

@@ -9,8 +9,11 @@ from spinpoly.errors import (
     LengthMismatch,
     OddWeightEncountered,
     ParityViolation,
+    Unbounded,
 )
 from spinpoly.polytopes import (
+    GradedPolytope,
+    ParityLattice,
     assemble,
     assembled_point_to_graph_point,
     b2_change_of_coords,
@@ -30,6 +33,7 @@ from spinpoly.polytopes import (
     recognize_block,
     trinode_cubic_region,
     with_full_lattice,
+    _unit,
 )
 
 from helpers import naive_nonneg_points, naive_points
@@ -52,6 +56,15 @@ NAIVE_CASES = [
     (point_polytope(), 3, 0),
     # empty by bounds: the free edge would need 4 <= t <= 0
     (p3_fixed2(0, 4, 2), 2, 4),
+    # x + y <= 1 with x = y = 1 pinned: the row fails at every N >= 1
+    (GradedPolytope(2, (((1, 1), 1),), (((1, 0), 1), ((0, 1), 1)),
+                    ParityLattice(2)), 2, 2),
+    # x = 1, y = 0 pinned in the parity set {x, y}: odd at every odd N
+    (GradedPolytope(3, (((0, 0, -1), 0), ((1, 1, 1), 2)),
+                    (((1, 0, 0), 1), ((0, 1, 0), 0)),
+                    ParityLattice(3, ((0, 1),))), 3, 2),
+    # 1 <= x <= 0: empty, but its 0-th dilation is the origin
+    (GradedPolytope(1, (((-1,), -1), ((1,), 0)), (), ParityLattice(1)), 2, 1),
 ]
 
 
@@ -87,6 +100,46 @@ def test_graph_polytope_matches_naive():
 
 def test_lattice_points_cache_is_bounded():
     assert lattice_points.cache_info().maxsize is not None
+
+
+def test_search_plan_cache_is_bounded():
+    for L in range(20):
+        p3(L).lattice_points(1)
+    info = polytopes._plan.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+
+
+def test_unbounded_polytope_raises():
+    # 0 <= x <= y, and nothing bounds y
+    P = GradedPolytope(2, (((-1, 0), 0), ((1, -1), 0)), (), ParityLattice(2))
+    with pytest.raises(Unbounded):
+        P.lattice_points(1)
+
+
+@st.composite
+def small_systems(draw):
+    """A random integer system in the box 0 <= x <= B: rows with
+    coefficients in -2..2, at most one equality, parity sets with repeats."""
+    dim = draw(st.integers(1, 3))
+    box = draw(st.integers(1, 3))
+    coef = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    ineqs = [(tuple(draw(coef)), draw(st.integers(-2, 4)))
+             for _ in range(draw(st.integers(0, 3)))]
+    for j in range(dim):
+        ineqs += [(_unit(dim, j, -1), 0), (_unit(dim, j), box)]
+    eqs = [(tuple(draw(coef)), draw(st.integers(-1, 2)))
+           for _ in range(draw(st.integers(0, 1)))]
+    psets = draw(st.lists(st.lists(st.integers(0, dim - 1), max_size=3)
+                          .map(tuple), max_size=2))
+    return box, GradedPolytope(dim, tuple(ineqs), tuple(eqs),
+                               ParityLattice(dim, tuple(psets)))
+
+
+@given(small_systems(), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_random_systems_match_naive(system, N):
+    box, P = system
+    assert list(lattice_points(P, N)) == naive_nonneg_points(P, N, box * N)
 
 
 # -- frozen oracles -------------------------------------------------------

@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 
 from spinpoly import graphs
 from spinpoly.catp import boxtimes_assemble
-from spinpoly.errors import NotFlag, NotTotal, ParityViolation
-from spinpoly.polytopes import from_graph, interval, loop_b2, p3, quadrant
+from spinpoly.errors import NotFlag, NotTotal
+from spinpoly.polytopes import (
+    from_graph,
+    interval,
+    loop_b2,
+    p3,
+    p3_fixed2,
+    quadrant,
+)
 from spinpoly.termorders import (
     Check,
     Monomial,
@@ -252,21 +259,25 @@ def _balancedness_instances():
 
 
 def test_is_balanced_matches_per_combination_reference():
-    # flagging fibers by membership keeps the verdict and the first witness;
-    # p3_fixed2(1, 1, L) has a lattice map that is not integral on its points
+    # flagging fibers by membership keeps the verdict and the first witness
     checks = []
     for P, transforms in _balancedness_instances():
         for transform in transforms:
-            try:
-                expected = _balanced_per_combination(P, 3, transform)
-            except ParityViolation:
-                with pytest.raises(ParityViolation):
-                    is_balanced(P, 3, transform=transform)
-                continue
             chk = is_balanced(P, 3, transform=transform)
-            assert chk == expected
+            assert chk == _balanced_per_combination(P, 3, transform)
             checks.append(chk)
     assert any(not c.ok for c in checks) and any(c.ok for c in checks)
+
+
+def test_p3_fixed2_odd_pins_balanced_in_lattice_coordinates():
+    # [DERIVED] with r = s = 1 the free weight t is even and runs over
+    # {0, 2}; the lattice map halves t alone, giving the interval [0, 1]
+    for L in (2, 3):
+        P = p3_fixed2(1, 1, L)
+        assert [P.transform_point(p) for p in P.lattice_points(1)] == \
+            [(1, 1, 0), (1, 1, 1)]
+        assert is_balanced(P, 3) == Check(True)
+        assert not is_balanced(P, 3, transform=tuple).ok
 
 
 def test_is_balanced_requires_injective_transform():

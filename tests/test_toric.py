@@ -17,7 +17,15 @@ from spinpoly.polytopes import (
     trinode_cubic_region,
     with_full_lattice,
 )
-from spinpoly.termorders import Monomial, TermWeight, sigma2_lex_order
+from spinpoly.catp import boxtimes_assemble
+from spinpoly.termorders import (
+    Check,
+    Monomial,
+    TermWeight,
+    monomials_by_image,
+    sigma2_lex_order,
+    _fiber_minima,
+)
 from spinpoly.toric import (
     degree_two_relations,
     hilbert,
@@ -27,9 +35,14 @@ from spinpoly.toric import (
     two_dim_balanced_order,
     verify_theorem,
     _lifted_spanning_tree,
+    _pair_standard_counts,
 )
 
-from helpers import blocks_up_to_level_2, naive_relation_degree
+from helpers import (
+    blocks_up_to_level_2,
+    count_pair_standard_multisets,
+    naive_relation_degree,
+)
 
 
 # -- hilbert --------------------------------------------------------------
@@ -208,6 +221,47 @@ def test_gb_fails_on_cubic_region():
     assert chk.witness["degree"] == 3
     assert chk.witness["standard_count"] == 35
     assert chk.witness["hilbert"] == 34
+
+
+def _assert_counts_match_search(pts, std2, D):
+    ok_pair = {(p, q) for p in pts for q in pts
+               if p <= q and Monomial.of((p, q)) in std2}
+    assert _pair_standard_counts(pts, std2, D) == {
+        N: count_pair_standard_multisets(pts, ok_pair, N)
+        for N in range(2, D + 1)}
+
+
+def test_pair_standard_counts_match_multiset_search():
+    # clique counts against the multiset search on the caterpillar's
+    # assembled order; at L=3 and L=5 the check fails in degree 2
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    dbl4 = graphs.double_edge_at(t4, internal[0])
+    cases = [(graphs.caterpillar_tree(6), L, D)
+             for L, D in ((2, 4), (3, 4), (4, 4), (5, 3))] + [(dbl4, 3, 3)]
+    for g, L, D in cases:
+        wp, _ = boxtimes_assemble(g, (2,) * g.n_leaves, L)
+        P = wp.polytope
+        std2 = {_fiber_minima(f, wp.order)[0]
+                for f in monomials_by_image(P, 2).values()}
+        _assert_counts_match_search(list(P.lattice_points(1)), std2, D)
+    # a hand-made standard-pair graph: the triangle 0-1-2 and the edge 2-3
+    pts = [(i,) for i in range(5)]
+    pairs = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
+             (0, 1), (0, 2), (1, 2), (2, 3)]
+    std2 = {Monomial.of((pts[i], pts[j])) for i, j in pairs}
+    _assert_counts_match_search(pts, std2, 5)
+
+
+def test_gb_count_mismatch_on_odd_level_caterpillar():
+    # the degree-2 standard counts of cat6 at L=3 and L=5 fall one short
+    for L, short in ((3, (14, 15)), (5, (60, 61))):
+        wp, _ = boxtimes_assemble(graphs.caterpillar_tree(6), (2,) * 6, L)
+        chk = quadratic_squarefree_gb(wp.polytope, wp.order, 3)
+        assert chk == Check(False, {"reason": "count mismatch", "degree": 2,
+                                    "standard_count": short[0],
+                                    "hilbert": short[1]})
 
 
 # -- two-dimensional balanced orders --------------------------------------
