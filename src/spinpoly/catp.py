@@ -7,7 +7,6 @@ a degree bound and reported; nothing is proved symbolically.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonTotalComponents, NonUniqueBase, NotAPolytopeMap, NotTotal
 from .graphs import explode, validate
@@ -153,7 +152,7 @@ def _single_support_row(trans, coord):
     """Index of a transform row supported exactly on `coord`, or None."""
     if trans is None:
         return None
-    for k, row in enumerate(trans):
+    for k, row in enumerate(trans.rows):
         if row[coord] != 0 and all(c == 0 for j, c in enumerate(row) if j != coord):
             return k
     return None

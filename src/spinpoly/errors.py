@@ -41,10 +41,6 @@ class ParityViolation(SpinpolyError):
     pass
 
 
-class OddWeightEncountered(SpinpolyError):
-    pass
-
-
 class BaseMismatch(SpinpolyError):
     pass
 
@@ -74,14 +70,6 @@ class NonTotalComponents(SpinpolyError):
 # -- toric ----------------------------------------------------------------
 
 class NormalityPrerequisiteFailed(SpinpolyError):
-    pass
-
-
-class NotBalanced(SpinpolyError):
-    pass
-
-
-class WrongDimension(SpinpolyError):
     pass
 
 

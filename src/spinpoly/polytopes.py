@@ -8,15 +8,13 @@ assembly pipeline all live here.
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BaseMismatch,
     InvalidParams,
     LengthMismatch,
-    OddWeightEncountered,
     ParityViolation,
     Unbounded,
 )
@@ -40,13 +38,36 @@ class ParityLattice:
 
 
 @dataclass(frozen=True)
+class LatticeMap:
+    """x -> rows·x / den: integer rows over a common denominator, required
+    to be integral on every point it is applied to.  target and source name
+    the polytopes it maps between, where that matters (fiber products)."""
+
+    rows: tuple  # tuple of integer tuples
+    den: int = 1
+    target: object = None  # GradedPolytope
+    source: object = None
+
+    def apply(self, point):
+        out = []
+        for row in self.rows:
+            v = sum(c * x for c, x in zip(row, point))
+            if v % self.den:
+                g = gcd(v, self.den)
+                raise ParityViolation(
+                    f"{point} maps to non-integer {v // g}/{self.den // g}")
+            out.append(v // self.den)
+        return tuple(out)
+
+
+@dataclass(frozen=True)
 class GradedPolytope:
     dim: int
     inequalities: tuple  # ((row), rhs): row·x <= N·rhs
     equalities: tuple    # ((row), rhs): row·x == N·rhs
     lattice: ParityLattice
     coord_names: tuple = ()
-    to_lattice: tuple = None  # optional rational rows mapping lattice -> Z^k
+    to_lattice: LatticeMap = None  # lattice coordinates; None: identity
 
     def lattice_points(self, N):
         return lattice_points(self, N)
@@ -55,13 +76,7 @@ class GradedPolytope:
         """Image of a lattice point under to_lattice (identity if absent)."""
         if self.to_lattice is None:
             return tuple(point)
-        out = []
-        for row in self.to_lattice:
-            v = sum(Fraction(c) * x for c, x in zip(row, point))
-            if v.denominator != 1:
-                raise ParityViolation(f"{point} maps to non-integer {v}")
-            out.append(int(v))
-        return tuple(out)
+        return self.to_lattice.apply(point)
 
     def to_json_dict(self):
         return {
@@ -344,22 +359,13 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
             psets.append((e,))
         loops = {i for i, (a, b) in enumerate(frag.edges) if a == b}
         pairs, paired = _doubled_pairs(frag)
-        rows = []
-        for i in range(dim):
-            if i in paired:
-                continue
-            if i in loops:
-                rows.append(_unit(dim, i))
-            else:
-                rows.append(tuple(Fraction(c, 2) for c in _unit(dim, i)))
+        rows = [_unit(dim, i, 2 if i in loops else 1)
+                for i in range(dim) if i not in paired]
         for y1, y2 in pairs:
-            a = [Fraction(0)] * dim
-            a[y1], a[y2] = Fraction(1, 2), Fraction(-1, 2)
-            b = [Fraction(0)] * dim
-            b[y1] = b[y2] = Fraction(1, 2)
-            rows.append(tuple(a))
-            rows.append(tuple(b))
-        to_lattice = tuple(rows)
+            u, v = _unit(dim, y1), _unit(dim, y2)
+            rows.append(tuple(a - b for a, b in zip(u, v)))
+            rows.append(tuple(a + b for a, b in zip(u, v)))
+        to_lattice = LatticeMap(tuple(rows), 2)
     names = tuple(f"e{i}" for i in range(dim))
     return GradedPolytope(dim, tuple(ineqs), tuple(eqs),
                           ParityLattice(dim, tuple(psets)), names, to_lattice)
@@ -379,16 +385,17 @@ def interval(L):
         raise InvalidParams("L must be nonnegative")
     return GradedPolytope(
         1, ((( -1,), 0), ((1,), L)), (), ParityLattice(1), ("t",),
-        ((Fraction(1),),),
+        LatticeMap(((1,),)),
     )
 
 
 def point_polytope():
     """The 0-dimensional polytope (fiber products over it are products)."""
-    return GradedPolytope(0, (), (), ParityLattice(0), (), ())
+    return GradedPolytope(0, (), (), ParityLattice(0), (), LatticeMap(()))
 
 
-_HALF = Fraction(1, 2)
+_HALVE3 = LatticeMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2)
+_TRIANGLE_BASIS = LatticeMap(((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2)
 
 
 def p3(L, even_edges=False):
@@ -401,15 +408,11 @@ def p3(L, even_edges=False):
     psets = [pset]
     if even_edges:
         psets += [(0,), (1,), (2,)]
-        trans = tuple(tuple(_HALF * c for c in _unit(3, i)) for i in range(3))
+        trans = _HALVE3
     else:
         # triangle basis (0,1,1),(1,0,1),(1,1,0) for the trinode parity
         # lattice; P3(L) becomes the simplex {t >= 0, sum t <= L}
-        trans = (
-            (-_HALF, _HALF, _HALF),
-            (_HALF, -_HALF, _HALF),
-            (_HALF, _HALF, -_HALF),
-        )
+        trans = _TRIANGLE_BASIS
     return GradedPolytope(3, tuple(ineqs), (), ParityLattice(3, tuple(psets)),
                           ("w1", "w2", "w3"), trans)
 
@@ -426,18 +429,10 @@ def p3_fixed1(r, L, even_edges=False):
         if r % 2:
             raise InvalidParams("even_edges requires even r")
         psets += [(1,), (2,)]
-        trans = (
-            (_HALF, Fraction(0), Fraction(0)),
-            (Fraction(0), _HALF, Fraction(0)),
-            (Fraction(0), Fraction(0), _HALF),
-        )
+        trans = _HALVE3
     elif r % 2 == 0:
         # lattice {w2 + w3 even}: basis ((w2+w3)/2, (w2-w3)/2), w1 pinned
-        trans = (
-            (_HALF, Fraction(0), Fraction(0)),
-            (Fraction(0), _HALF, _HALF),
-            (Fraction(0), _HALF, -_HALF),
-        )
+        trans = LatticeMap(((1, 0, 0), (0, 1, 1), (0, 1, -1)), 2)
     return GradedPolytope(3, base.inequalities, eqs,
                           ParityLattice(3, tuple(psets)), base.coord_names, trans)
 
@@ -452,12 +447,8 @@ def p3_fixed2(r, s, L):
     eqs = ((_unit(3, 0), r), (_unit(3, 1), s))
     trans = None
     if (r + s) % 2 == 0:
-        h = Fraction(1) if r % 2 else _HALF
-        trans = (
-            (h, Fraction(0), Fraction(0)),
-            (Fraction(0), h, Fraction(0)),
-            (Fraction(0), Fraction(0), _HALF),
-        )
+        h = 1 + r % 2
+        trans = LatticeMap(((h, 0, 0), (0, h, 0), (0, 0, 1)), 2)
     return GradedPolytope(3, base.inequalities, eqs,
                           ParityLattice(3, base.lattice.parity_sets[:1]),
                           base.coord_names, trans)
@@ -474,9 +465,8 @@ def loop_b(L):
         ((-2, 1), 0),
         ((2, 1), 2 * L),
     )
-    trans = ((Fraction(1), Fraction(0)), (Fraction(0), _HALF))
     return GradedPolytope(2, ineqs, (), ParityLattice(2, ((0, 0, 1),)),
-                          ("x", "y"), trans)
+                          ("x", "y"), LatticeMap(((2, 0), (0, 1)), 2))
 
 
 def loop_b2(L):
@@ -491,14 +481,8 @@ def loop_b2(L):
     ineqs.extend(rows_u)
     ineqs.extend(rows_v)
     psets = (pset_u, pset_v, (0,), (3,))
-    trans = (
-        (_HALF, Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(0), _HALF),
-        (Fraction(0), _HALF, -_HALF, Fraction(0)),
-        (Fraction(0), _HALF, _HALF, Fraction(0)),
-    )
     return GradedPolytope(4, tuple(ineqs), (), ParityLattice(4, psets),
-                          ("a", "y1", "y2", "c"), trans)
+                          ("a", "y1", "y2", "c"), B2_COORDS)
 
 
 def with_full_lattice(P):
@@ -508,17 +492,11 @@ def with_full_lattice(P):
 # -- B_2 change of coordinates and quadrants -----------------------------
 
 
-def b2_change_of_coords(p):
-    """(a, y1, y2, c) -> (x, z, A, B) = (a/2, c/2, (y1-y2)/2, (y1+y2)/2)."""
-    a, y1, y2, c = p
-    if a % 2 or c % 2 or (y1 + y2) % 2:
-        raise ParityViolation(f"{p} is not a doubled-edge lattice point")
-    return (a // 2, c // 2, (y1 - y2) // 2, (y1 + y2) // 2)
-
-
-def b2_change_of_coords_inverse(q):
-    x, z, A, B = q
-    return (2 * x, B + A, B - A, 2 * z)
+# (a, y1, y2, c) -> (x, z, A, B) = (a/2, c/2, (y1-y2)/2, (y1+y2)/2), and back
+B2_COORDS = LatticeMap(((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, -1, 0),
+                        (0, 1, 1, 0)), 2)
+B2_COORDS_INVERSE = LatticeMap(((2, 0, 0, 0), (0, 0, 1, 1), (0, 0, -1, 1),
+                                (0, 2, 0, 0)))
 
 
 def quadrant(q, L):
@@ -565,32 +543,10 @@ def quadrant(q, L):
 # -- lattice maps and fiber products -------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeMap:
-    """Rational matrix mapping source points into a target polytope; required
-    to be integral on every lattice point it is applied to."""
-
-    rows: tuple  # tuple of tuples of Fractions
-    target: GradedPolytope
-    source: GradedPolytope = None
-
-    def apply(self, point):
-        out = []
-        for row in self.rows:
-            v = sum(Fraction(c) * x for c, x in zip(row, point))
-            if v.denominator != 1:
-                raise OddWeightEncountered(
-                    f"point {point} maps to non-integer coordinate {v}")
-            out.append(int(v))
-        return tuple(out)
-
-
 def edge_projection(P, coord, L):
     """w -> w_coord / 2 into the interval [0, L] (interior edges carry even
     weight in context)."""
-    row = tuple(Fraction(1, 2) if j == coord else Fraction(0)
-                for j in range(P.dim))
-    return LatticeMap((row,), interval(L), P)
+    return LatticeMap((_unit(P.dim, coord),), 2, interval(L), P)
 
 
 @dataclass(frozen=True)
@@ -628,24 +584,26 @@ def fiber_product(P1, f1, P2, f2):
     eqs = [(pad1(r), b) for r, b in P1.equalities]
     eqs += [(pad2(r), b) for r, b in P2.equalities]
     glued = []
+    den = lcm(f1.den, f2.den)
+    k1, k2 = den // f1.den, den // f2.den
     for r1, r2 in zip(f1.rows, f2.rows):
-        combined = [Fraction(c) for c in r1] + [-Fraction(c) for c in r2]
-        den = 1
-        for c in combined:
-            den = den * c.denominator // gcd(den, c.denominator)
-        eqs.append((tuple(int(c * den) for c in combined), 0))
-        s1 = [j for j, c in enumerate(r1) if c != 0]
-        s2 = [j for j, c in enumerate(r2) if c != 0]
-        if len(s1) == 1 and len(s2) == 1 and r1[s1[0]] == r2[s2[0]]:
-            glued.append((s1[0], d1 + s2[0]))
+        row = tuple(k1 * c for c in r1) + tuple(-k2 * c for c in r2)
+        g = gcd(den, *row)
+        eqs.append((tuple(c // g for c in row), 0))
+        nz = [j for j, c in enumerate(row) if c]
+        if len(nz) == 2 and nz[0] < d1 <= nz[1] and row[nz[0]] == -row[nz[1]]:
+            glued.append(tuple(nz))
     psets = [tuple(s) for s in P1.lattice.parity_sets]
     psets += [tuple(d1 + i for i in s) for s in P2.lattice.parity_sets]
     names = tuple(f"L.{n}" for n in (P1.coord_names or [f"x{i}" for i in range(d1)]))
     names += tuple(f"R.{n}" for n in (P2.coord_names or [f"y{i}" for i in range(d2)]))
     trans = None
-    if P1.to_lattice is not None and P2.to_lattice is not None:
-        trans = tuple(tuple(row) + (Fraction(0),) * d2 for row in P1.to_lattice)
-        trans += tuple((Fraction(0),) * d1 + tuple(row) for row in P2.to_lattice)
+    t1, t2 = P1.to_lattice, P2.to_lattice
+    if t1 is not None and t2 is not None:
+        den = lcm(t1.den, t2.den)
+        rows = [pad1(den // t1.den * c for c in r) for r in t1.rows]
+        rows += [pad2(den // t2.den * c for c in r) for r in t2.rows]
+        trans = LatticeMap(tuple(rows), den)
     poly = GradedPolytope(dim, tuple(ineqs), tuple(eqs),
                           ParityLattice(dim, tuple(psets)), names, trans)
     return FiberProduct(poly, P1, P2, f1, f2, d1, tuple(glued))
@@ -789,10 +747,5 @@ def trinode_cubic_region():
     for i in range(3):
         ineqs.append((_unit(3, i, -1), 0))
         ineqs.append((_unit(3, i), 2))
-    trans = (
-        (-_HALF, _HALF, _HALF),
-        (_HALF, -_HALF, _HALF),
-        (_HALF, _HALF, -_HALF),
-    )
     return GradedPolytope(3, tuple(ineqs), (), ParityLattice(3, ((0, 1, 2),)),
-                          ("w1", "w2", "w3"), trans)
+                          ("w1", "w2", "w3"), _TRIANGLE_BASIS)

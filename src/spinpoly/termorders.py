@@ -293,12 +293,6 @@ def _fiber_minima(fiber, order):
     return [m for m, w in zip(fiber, ws) if w == wmin]
 
 
-def is_standard(P, order, m):
-    fiber = fiber_set(P, m.image, m.degree)
-    return m in _fiber_minima(fiber, order) if isinstance(order, TotalOrder) \
-        else m in set(_fiber_minima(fiber, order))
-
-
 def has_unique_standard_monomials(P, order, D):
     for N in range(2, D + 1):
         for b, fiber in monomials_by_image(P, N).items():
@@ -404,17 +398,23 @@ def initial_complex_maximal_faces(P, order, D):
     chk = is_flag(P, order, D)
     if not chk.ok:
         raise NotFlag(f"order is not flag to degree {D}: {chk.witness}")
-    import networkx as nx
-
     std2 = {m for fiber in monomials_by_image(P, 2).values()
             for m in _fiber_minima(fiber, order)}
-    pts = list(P.lattice_points(1))
-    G = nx.Graph()
-    G.add_nodes_from(pts)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            if Monomial.of((p, q)) in std2:
-                G.add_edge(p, q)
     # only points with standard squares can appear in a face at all
-    good = [p for p in pts if Monomial.of((p, p)) in std2]
-    return {frozenset(c) for c in nx.find_cliques(G.subgraph(good))}
+    good = [p for p in P.lattice_points(1) if Monomial.of((p, p)) in std2]
+    adj = {p: {q for q in good if q != p and Monomial.of((p, q)) in std2}
+           for p in good}
+    faces = set()
+
+    def expand(clique, cand, done):  # Bron-Kerbosch with pivoting
+        if not cand and not done:
+            faces.add(clique)
+            return
+        pivot = max(cand | done, key=lambda u: len(cand & adj[u]))
+        for v in cand - adj[pivot]:
+            expand(clique | {v}, cand & adj[v], done & adj[v])
+            cand = cand - {v}
+            done = done | {v}
+
+    expand(frozenset(), set(good), set())
+    return faces - {frozenset()}

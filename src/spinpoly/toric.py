@@ -11,9 +11,7 @@ from math import comb
 from .errors import (
     HypothesisViolated,
     NormalityPrerequisiteFailed,
-    NotBalanced,
     NotTotal,
-    WrongDimension,
 )
 from .graphs import (
     GraphClass,
@@ -30,7 +28,6 @@ from .termorders import (
     TotalOrder,
     is_balanced,
     monomials_by_image,
-    sigma2_lex_order,
     _fiber_minima,
 )
 
@@ -189,9 +186,10 @@ def quadratic_squarefree_gb(P, order, Dmax):
     if not isinstance(order, TotalOrder):
         raise NotTotal("a total order is required")
     pts = list(P.lattice_points(1))
-    std2 = set()
+    std2, relations = set(), 0
     for b, fiber in monomials_by_image(P, 2).items():
         std2.add(_fiber_minima(fiber, order)[0])
+        relations += len(fiber) - 1
     for p in pts:
         if Monomial.of((p, p)) not in std2:
             return Check(False, {"reason": "square leading term",
@@ -203,8 +201,7 @@ def quadratic_squarefree_gb(P, order, Dmax):
             return Check(False, {"reason": "count mismatch", "degree": N,
                                  "standard_count": counts[N],
                                  "hilbert": table[N]})
-    return Check(True, {"checked": Dmax, "relations": len(
-        [1 for b, f in monomials_by_image(P, 2).items() for m in f]) - len(std2)})
+    return Check(True, {"checked": Dmax, "relations": relations})
 
 
 def _pair_standard_counts(pts, std2, Dmax):
@@ -229,17 +226,6 @@ def _pair_standard_counts(pts, std2, Dmax):
         extend(1, later[i])
     return {N: sum(f[k] * comb(N - 1, k - 1) for k in range(1, N + 1))
             for N in range(2, Dmax + 1)}
-
-
-def two_dim_balanced_order(P, balance_depth=3):
-    """The order (degree, Σ², lex on the unit square) for a 2-dimensional
-    balanced polytope."""
-    if P.dim != 2:
-        raise WrongDimension(f"need ambient dimension 2, got {P.dim}")
-    chk = is_balanced(P, balance_depth)
-    if not chk.ok:
-        raise NotBalanced(f"counterexample {chk.witness}")
-    return sigma2_lex_order(P.transform_point)
 
 
 # -- theorem orchestration ------------------------------------------------

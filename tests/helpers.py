@@ -3,8 +3,10 @@
 Deliberately naive: box scans with no propagation or pruning, so results are
 computed by a different route than the library's enumerator."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from math import gcd
 
 from spinpoly.graphs import MarkedGraph, _connected, caterpillar_tree, validate
 from spinpoly.polytopes import (
@@ -245,3 +247,23 @@ def count_pair_standard_multisets(pts, ok_pair, N):
 
     dfs(0, N)
     return count
+
+
+def fraction_glue_rows(f1, f2, d1):
+    """Glue equalities and glued coordinate pairs of the fiber product of
+    two lattice maps, computed in rationals: each row pair as Fractions,
+    scaled by the lcm of their reduced denominators."""
+    eqs, glued = [], []
+    for r1, r2 in zip(f1.rows, f2.rows):
+        r1 = [Fraction(c, f1.den) for c in r1]
+        r2 = [Fraction(c, f2.den) for c in r2]
+        combined = r1 + [-c for c in r2]
+        den = 1
+        for c in combined:
+            den = den * c.denominator // gcd(den, c.denominator)
+        eqs.append((tuple(int(c * den) for c in combined), 0))
+        s1 = [j for j, c in enumerate(r1) if c != 0]
+        s2 = [j for j, c in enumerate(r2) if c != 0]
+        if len(s1) == 1 and len(s2) == 1 and r1[s1[0]] == r2[s2[0]]:
+            glued.append((s1[0], d1 + s2[0]))
+    return eqs, glued

@@ -11,9 +11,9 @@ from spinpoly.catp import (
     verify_double_weight_equivalence,
 )
 from spinpoly.polytopes import (
+    B2_COORDS,
+    B2_COORDS_INVERSE,
     LatticeMap,
-    b2_change_of_coords,
-    b2_change_of_coords_inverse,
     edge_projection,
     fiber_product,
     from_graph,
@@ -159,9 +159,9 @@ def test_criterion_6_building_block_battery():
         P = loop_b2(L)
         for N in (1, 2):
             pts = P.lattice_points(N)
-            imgs = [b2_change_of_coords(p) for p in pts]
+            imgs = [B2_COORDS.apply(p) for p in pts]
             if len(set(imgs)) != len(pts) or \
-                    any(b2_change_of_coords_inverse(q) != p
+                    any(B2_COORDS_INVERSE.apply(q) != p
                         for p, q in zip(pts, imgs)):
                 report(6, False, f"round trip fails for loop_b2({L})")
     # first quadrant at L=1: six generators, one quadratic relation
@@ -185,10 +185,8 @@ def test_criterion_7_category_closure():
     A4 = p3_fixed2(2, 2, 4)
     B = loop_b(2)
     I = interval(2)
-    from fractions import Fraction
-
-    ident_to_base = LatticeMap(((Fraction(1),),), interval(2), I)
-    x_to_base = LatticeMap(((Fraction(1), Fraction(0)),), interval(2), B)
+    ident_to_base = LatticeMap(((1,),), 1, interval(2), I)
+    x_to_base = LatticeMap(((1, 0),), 1, interval(2), B)
     cases = [
         ("p3_fixed2(2,2,2) x p3_fixed2(2,2,2)",
          A2, edge_projection(A2, 2, 2), A2, edge_projection(A2, 2, 2)),

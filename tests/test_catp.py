@@ -31,8 +31,6 @@ from spinpoly.termorders import (
     sigma2_lex_order,
 )
 
-from fractions import Fraction
-
 
 def interval_object(L):
     return WeightedPolytope(interval(L), sigma2_lex_order())
@@ -40,12 +38,12 @@ def interval_object(L):
 
 def halving_map(L):
     """[0, 2L] -> [0, L], t -> t/2 (only valid on even points)."""
-    return LatticeMap(((Fraction(1, 2),),), interval(L), interval(2 * L))
+    return LatticeMap(((1,),), 2, interval(L), interval(2 * L))
 
 
 def inclusion_map(L, M):
     """[0, L] -> [0, M], t -> t (needs L <= M)."""
-    return LatticeMap(((Fraction(1),),), interval(M), interval(L))
+    return LatticeMap(((1,),), 1, interval(M), interval(L))
 
 
 def test_check_morphism_inclusion_is_morphism():
@@ -60,7 +58,7 @@ def test_doubling_is_not_a_morphism():
     # t -> 2t sends the standard pair (0,),(1,) to (0,),(2,), which loses to
     # the balanced pair (1,),(1,) in the target
     src, tgt = interval_object(2), interval_object(4)
-    dbl = LatticeMap(((Fraction(2),),), interval(4), interval(2))
+    dbl = LatticeMap(((2,),), 1, interval(4), interval(2))
     chk = check_morphism(dbl, src, tgt, 2)
     assert not chk.ok
     assert chk.counterexample == Monomial.of([(0,), (1,)])
@@ -68,7 +66,7 @@ def test_doubling_is_not_a_morphism():
 
 def test_check_morphism_rejects_out_of_range():
     src, tgt = interval_object(4), interval_object(2)
-    ident = LatticeMap(((Fraction(1),),), interval(2), interval(4))
+    ident = LatticeMap(((1,),), 1, interval(2), interval(4))
     with pytest.raises(NotAPolytopeMap):
         check_morphism(ident, src, tgt, 2)
 
@@ -80,7 +78,7 @@ def test_check_morphism_zero_weight_counterexample():
     src = interval_object(2)
     tgt = WeightedPolytope(interval(2),
                            TermWeight(lambda p: -p[0] * p[0], "neg"))
-    ident = LatticeMap(((Fraction(1),),), interval(2), interval(2))
+    ident = LatticeMap(((1,),), 1, interval(2), interval(2))
     chk = check_morphism(ident, src, tgt, 2)
     assert not chk.ok
     assert chk.counterexample == Monomial.of([(1,), (1,)])

@@ -7,17 +7,17 @@ from spinpoly.errors import (
     BaseMismatch,
     InvalidParams,
     LengthMismatch,
-    OddWeightEncountered,
     ParityViolation,
     Unbounded,
 )
 from spinpoly.polytopes import (
+    B2_COORDS,
+    B2_COORDS_INVERSE,
     GradedPolytope,
+    LatticeMap,
     ParityLattice,
     assemble,
     assembled_point_to_graph_point,
-    b2_change_of_coords,
-    b2_change_of_coords_inverse,
     edge_projection,
     fiber_product,
     from_graph,
@@ -36,7 +36,7 @@ from spinpoly.polytopes import (
     _unit,
 )
 
-from helpers import naive_nonneg_points, naive_points
+from helpers import fraction_glue_rows, naive_nonneg_points, naive_points
 
 
 # -- enumeration vs brute force ------------------------------------------
@@ -198,16 +198,16 @@ def test_b2_transform_bijection_and_roundtrip():
     P = loop_b2(1)
     for N in (1, 2):
         pts = P.lattice_points(N)
-        imgs = [b2_change_of_coords(p) for p in pts]
+        imgs = [B2_COORDS.apply(p) for p in pts]
         assert len(set(imgs)) == len(pts)
         for p, q in zip(pts, imgs):
             assert P.transform_point(p) == q
-            assert b2_change_of_coords_inverse(q) == p
+            assert B2_COORDS_INVERSE.apply(q) == p
 
 
 def test_b2_change_of_coords_rejects_odd():
     with pytest.raises(ParityViolation):
-        b2_change_of_coords((1, 0, 0, 0))
+        B2_COORDS.apply((1, 0, 0, 0))
 
 
 def test_quadrants_cover_b2():
@@ -215,7 +215,7 @@ def test_quadrants_cover_b2():
     # block up to shared boundary; each quadrant has 6 degree-1 points at
     # L=1 and the union has 8
     P = loop_b2(1)
-    all_imgs = {b2_change_of_coords(p) for p in P.lattice_points(1)}
+    all_imgs = {B2_COORDS.apply(p) for p in P.lattice_points(1)}
     union = set()
     for q in (1, 2, 3, 4):
         pts = set(quadrant(q, 1).lattice_points(1))
@@ -337,7 +337,7 @@ def test_fiber_product_base_mismatch():
 def test_edge_projection_rejects_odd_weight():
     A = p3_fixed2(1, 1, 2)
     f = edge_projection(A, 2, 2)
-    with pytest.raises(OddWeightEncountered):
+    with pytest.raises(ParityViolation):
         f.apply((1, 1, 1))
 
 
@@ -441,3 +441,29 @@ def test_transform_injective_on_points(L, N):
     P = p3(L)
     pts = P.lattice_points(N)
     assert len({P.transform_point(p) for p in pts}) == len(pts)
+
+
+@st.composite
+def lattice_map_pairs(draw):
+    """Two lattice maps with the same number of random integer rows over
+    denominators in {1, 2, 4}, on sources of dimension 1-3."""
+    k = draw(st.integers(1, 3))
+    maps = []
+    for _ in range(2):
+        d = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d),
+                             min_size=k, max_size=k))
+        maps.append((d, LatticeMap(tuple(rows), draw(st.sampled_from((1, 2, 4))))))
+    return maps
+
+
+@given(lattice_map_pairs())
+@settings(max_examples=150, deadline=None)
+def test_glue_rows_match_fraction_route(maps):
+    (d1, f1), (d2, f2) = maps
+    P1 = GradedPolytope(d1, (), (), ParityLattice(d1))
+    P2 = GradedPolytope(d2, (), (), ParityLattice(d2))
+    fp = fiber_product(P1, f1, P2, f2)
+    eqs, glued = fraction_glue_rows(f1, f2, d1)
+    assert list(fp.polytope.equalities) == eqs
+    assert list(fp.glued_pairs) == glued

@@ -9,8 +9,11 @@ from spinpoly import graphs
 from spinpoly.catp import boxtimes_assemble
 from spinpoly.errors import NotFlag, NotTotal
 from spinpoly.polytopes import (
+    LatticeMap,
+    fiber_product,
     from_graph,
     interval,
+    loop_b,
     loop_b2,
     p3,
     p3_fixed2,
@@ -31,7 +34,6 @@ from spinpoly.termorders import (
     is_balanced,
     is_flag,
     is_slice_balanced,
-    is_standard,
     monomials_by_image,
     sigma2_lex_order,
     sigma_squared,
@@ -145,8 +147,9 @@ def test_standard_monomial_p3_oracle():
     fib = fiber_set(P, (2, 2, 2), 3)
     best = min(fib, key=order.monomial_key)
     assert best == Monomial.of([(0, 1, 1), (1, 0, 1), (1, 1, 0)])
-    assert is_standard(P, order, best)
-    assert not is_standard(P, order, Monomial.of([(0, 0, 0), (2, 2, 2), (0, 2, 2)]))
+    std = standard_monomials(P, order, 3)
+    assert best in std
+    assert Monomial.of([(0, 0, 0), (2, 2, 2), (0, 2, 2)]) not in std
 
 
 def test_p3_level1_degree2_fiber_singleton():
@@ -186,6 +189,31 @@ def test_interval_is_flag_and_faces():
     # [DERIVED] the interval order's initial complex is the path
     # {k, k+1}: consecutive points only
     assert faces == {frozenset({(k,), (k + 1,)}) for k in range(3)}
+
+
+def test_initial_complex_faces_match_networkx_cliques():
+    import networkx as nx
+
+    B = loop_b(2)
+    x_to_base = LatticeMap(((1, 0),), 1, interval(2), B)
+    fp = fiber_product(B, x_to_base, B, x_to_base).polytope
+    cases = [(interval(3), sigma2_lex_order()),
+             (p3(2), sigma2_lex_order(p3(2).transform_point)),
+             (quadrant(1, 2), sigma2_lex_order()),
+             (fp, sigma2_lex_order(fp.transform_point))]
+    for P, order in cases:
+        std2 = standard_monomials(P, order, 2)
+        good = [p for p in P.lattice_points(1) if Monomial.of((p, p)) in std2]
+        G = nx.Graph()
+        G.add_nodes_from(good)
+        G.add_edges_from((p, q) for i, p in enumerate(good)
+                         for q in good[i + 1:] if Monomial.of((p, q)) in std2)
+        faces = initial_complex_maximal_faces(P, order, 3)
+        assert len(faces) > 1
+        assert faces == {frozenset(c) for c in nx.find_cliques(G)}
+    # no points (odd leaf sum): no faces, as find_cliques on an empty graph
+    empty = from_graph(graphs.caterpillar_tree(3), (1, 1, 1), 1)
+    assert initial_complex_maximal_faces(empty, sigma2_lex_order(), 3) == set()
 
 
 def test_initial_complex_requires_flag():

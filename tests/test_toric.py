@@ -4,9 +4,7 @@ from spinpoly import graphs
 from spinpoly.errors import (
     HypothesisViolated,
     NormalityPrerequisiteFailed,
-    NotBalanced,
     NotTotal,
-    WrongDimension,
 )
 from spinpoly.polytopes import (
     from_graph,
@@ -32,7 +30,6 @@ from spinpoly.toric import (
     is_normal,
     quadratic_squarefree_gb,
     relation_degree,
-    two_dim_balanced_order,
     verify_theorem,
     _lifted_spanning_tree,
     _pair_standard_counts,
@@ -207,6 +204,20 @@ def test_gb_q1():
     assert quadratic_squarefree_gb(quadrant(1, 1), sigma2_lex_order(), 4).ok
 
 
+def test_gb_relations_count_degree_two_relations():
+    # [DERIVED] quadrics of the assembled orders at L=4
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    dbl4 = graphs.double_edge_at(t4, internal[0])
+    for g, n in ((graphs.caterpillar_tree(6), 21), (dbl4, 336)):
+        wp, _ = boxtimes_assemble(g, (2,) * g.n_leaves, 4)
+        chk = quadratic_squarefree_gb(wp.polytope, wp.order, 3)
+        assert chk.ok
+        assert chk.witness["relations"] == n == \
+            len(degree_two_relations(wp.polytope, wp.order))
+
+
 def test_gb_requires_total_order():
     with pytest.raises(NotTotal):
         quadratic_squarefree_gb(interval(2), TermWeight.zero(), 3)
@@ -262,20 +273,6 @@ def test_gb_count_mismatch_on_odd_level_caterpillar():
         assert chk == Check(False, {"reason": "count mismatch", "degree": 2,
                                     "standard_count": short[0],
                                     "hilbert": short[1]})
-
-
-# -- two-dimensional balanced orders --------------------------------------
-
-
-def test_two_dim_balanced_order():
-    P = loop_b(2)
-    order = two_dim_balanced_order(P)
-    assert quadratic_squarefree_gb(P, order, 3).ok
-
-
-def test_two_dim_balanced_order_rejects_wrong_dim():
-    with pytest.raises(WrongDimension):
-        two_dim_balanced_order(p3(2))
 
 
 # -- theorem battery ------------------------------------------------------
