@@ -13,7 +13,6 @@ from .graphs import explode, validate
 from .polytopes import assemble, fiber_product
 from .termorders import (
     Check,
-    Monomial,
     TotalOrder,
     b2_cascade_order,
     boxtimes_order,
@@ -45,26 +44,27 @@ class Morphism:
 class MorphismCheck:
     ok: bool
     morphism: Morphism = None
-    counterexample: Monomial = None
+    counterexample: tuple = None  # a monomial
 
     def __bool__(self):
         return self.ok
 
 
 def _image_monomial(lmap, m):
-    return Monomial.of(tuple(lmap.apply(p) for p in m.points))
+    return tuple(sorted(lmap.apply(p) for p in m))
 
 
 def check_morphism(lmap, source, target, D):
     """Verify that lmap carries the source polytope into the target and that
-    standard monomials map to standard monomials, up to degree D."""
+    standard monomials map to standard monomials, up to degree D.  The
+    counterexample is the least standard monomial whose image is not."""
     tgt_pts = set(target.polytope.lattice_points(1))
     for p in source.polytope.lattice_points(1):
         if lmap.apply(p) not in tgt_pts:
             raise NotAPolytopeMap(f"{p} maps outside the target")
     for N in range(2, D + 1):
         std_t = standard_monomials(target.polytope, target.order, N)
-        for m in standard_monomials(source.polytope, source.order, N):
+        for m in sorted(standard_monomials(source.polytope, source.order, N)):
             if _image_monomial(lmap, m) not in std_t:
                 return MorphismCheck(False, counterexample=m)
     return MorphismCheck(True, Morphism(lmap, source, target, D))
@@ -79,9 +79,8 @@ def sum_weight(o1, o2, split):
 
 
 def split_monomial(fp, m):
-    left = Monomial.of(tuple(p[: fp.offset] for p in m.points))
-    right = Monomial.of(tuple(p[fp.offset:] for p in m.points))
-    return left, right
+    return (tuple(sorted(p[: fp.offset] for p in m)),
+            tuple(sorted(p[fp.offset:] for p in m)))
 
 
 def product_standard_characterization(fp, o1, o2, D):
@@ -209,8 +208,7 @@ def component_total_order(P, frag):
     (x,z,A,B) cascade, everything else Σ² + lex on lattice coordinates."""
     from .polytopes import _doubled_pairs
 
-    pairs, _ = _doubled_pairs(frag)
-    if pairs:
+    if _doubled_pairs(frag):
         return b2_cascade_order(P.transform_point)
     return sigma2_lex_order(P.transform_point)
 

@@ -266,7 +266,7 @@ def _dispatch(args):
         chk = is_balanced(P, args.depth, transform=tuple)
         report = _envelope(args, {"depth": args.depth}, {
             "balanced": chk.ok,
-            "witness": chk.witness.to_json_list() if not chk.ok else None,
+            "witness": [list(p) for p in chk.witness] if not chk.ok else None,
         })
         _emit(report, args)
         return 0 if chk.ok else 1

@@ -474,24 +474,6 @@ def explode(g):
     return ExplodedGraph(tuple(fragments), split_records, g)
 
 
-def reglue(eg):
-    """Inverse of explode (up to edge order)."""
-    verts = []
-    for frag in eg.components:
-        for v in frag.vertices:
-            if not (isinstance(v, tuple) and v and v[0] == "stub"):
-                verts.append(v)
-    edges = {}
-    for i, (a, b) in enumerate(eg.source.edges):
-        edges[i] = (a, b)
-    leaves = []
-    for frag in eg.components:
-        leaves.extend(frag.leaves)
-    return validate(
-        MarkedGraph(tuple(verts), tuple(edges[i] for i in sorted(edges)), tuple(sorted(leaves)))
-    )
-
-
 # -- builders ------------------------------------------------------------------
 
 
@@ -545,13 +527,6 @@ def double_edge_at(g, edge_index):
     edges = [e for i, e in enumerate(g.edges) if i != edge_index]
     edges += [(a, m1), (m1, m2), (m1, m2), (m2, b)]
     return validate(MarkedGraph(g.vertices + (m1, m2), tuple(edges), g.leaves))
-
-
-def loop_with_leaf():
-    """Single trinode carrying a loop and a pendant labeled leaf."""
-    return validate(
-        MarkedGraph(("v", "l1"), (("v", "v"), ("v", "l1")), ((1, "l1"),))
-    )
 
 
 # -- enumeration ---------------------------------------------------------------

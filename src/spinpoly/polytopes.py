@@ -321,15 +321,27 @@ def _doubled_pairs(frag):
     for i, (a, b) in enumerate(frag.edges):
         if a != b:
             cnt[frozenset((a, b))] += 1
-    pairs = []
-    seen = set()
-    for key, c in cnt.items():
-        if c == 2:
-            idx = [i for i, (a, b) in enumerate(frag.edges)
-                   if a != b and frozenset((a, b)) == key]
-            pairs.append(tuple(idx))
-            seen.update(idx)
-    return pairs, seen
+    return [tuple(i for i, (a, b) in enumerate(frag.edges)
+                  if a != b and frozenset((a, b)) == key)
+            for key, c in cnt.items() if c == 2]
+
+
+def _parity_span(psets):
+    """Membership in the GF(2) span of the parity sets, as coordinate bit
+    masks (a coordinate listed twice cancels): coordinates whose mask lies in
+    the span have an even sum on every point of the lattice."""
+    basis = {}  # leading bit -> mask
+
+    def reduce(v):
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        return v
+
+    for s in psets:
+        v = reduce(sum(1 << i for i in set(s) if s.count(i) % 2))
+        if v:
+            basis[v.bit_length()] = v
+    return lambda *coords: not reduce(sum(1 << i for i in coords))
 
 
 def fragment_polytope(frag, r_map, L, even_stubs=False):
@@ -338,8 +350,10 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
     With even_stubs=True every stub coordinate additionally carries an even
     parity condition (the interior-edge evenness that holds in context for
     compatible weights), and a lattice-coordinate transform is attached:
-    doubled-edge pairs map to ((y1-y2)/2, (y1+y2)/2), loop edges stay, all
-    other (even) edges are halved."""
+    the parity data (with the leaves pinned to even weights) force even
+    sums on some edges and pairs: doubled-edge pairs of even sum map to
+    ((y1-y2)/2, (y1+y2)/2), even edges are halved, and every other edge
+    stays."""
     dim = len(frag.edges)
     ineqs = [(_unit(dim, i, -1), 0) for i in range(dim)]
     psets = []
@@ -357,9 +371,11 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
     if even_stubs:
         for e in frag.stub_edges:
             psets.append((e,))
-        loops = {i for i, (a, b) in enumerate(frag.edges) if a == b}
-        pairs, paired = _doubled_pairs(frag)
-        rows = [_unit(dim, i, 2 if i in loops else 1)
+        even = _parity_span(psets + [(row.index(1),) for row, r in eqs
+                                     if r % 2 == 0])
+        pairs = [pair for pair in _doubled_pairs(frag) if even(*pair)]
+        paired = {i for pair in pairs for i in pair}
+        rows = [_unit(dim, i, 1 if even(i) else 2)
                 for i in range(dim) if i not in paired]
         for y1, y2 in pairs:
             u, v = _unit(dim, y1), _unit(dim, y2)
@@ -615,7 +631,7 @@ def fiber_product(P1, f1, P2, f2):
 def recognize_block(frag, L):
     """Best-effort naming of a fragment as a building-block kind."""
     loops = [i for i, (a, b) in enumerate(frag.edges) if a == b]
-    pairs, _ = _doubled_pairs(frag)
+    pairs = _doubled_pairs(frag)
     internal = frag.internal_vertices
     n_leaf, n_stub = len(frag.leaves), len(frag.stub_edges)
     if pairs and len(internal) == 2 and len(frag.edges) == 4:
@@ -704,15 +720,6 @@ def assemble(eg, r, L, even_interior=False):
             f"x_[0,{L}] component{c}:"
             f"{comps[c][1].name if comps[c][1] else 'fragment'}")
     return Assembly(acc, tuple(comps), tuple(steps), tuple(coord_map), tuple(fps))
-
-
-def assembled_point_to_graph_point(assembly, point):
-    """Collapse an assembled point to edge weights of the source graph."""
-    n_edges = max(orig for _, _, orig in assembly.coord_map) + 1
-    out = [None] * n_edges
-    for coord, (_, _, orig) in enumerate(assembly.coord_map):
-        out[orig] = point[coord]
-    return tuple(out)
 
 
 # -- the cubic-relation region -------------------------------------------

@@ -6,12 +6,15 @@ tie-break key; monomials are compared by (degree, weight, point keys sorted
 decreasingly), which uniformly realizes lex-on-sorted-sequences, the
 doubled-edge cascade, and the concatenation (boxtimes) rule.
 
+A monomial is a multiset of lattice points: the sorted tuple of its points,
+as `combinations_with_replacement` yields it over the sorted points of P.
 Standard monomials are the weight-minimal members of their fiber: the set of
 same-degree monomials with the same coordinate sum.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .errors import NotFlag, NotTotal
 
@@ -57,52 +60,6 @@ def is_slice_balanced(vectors):
     return True
 
 
-# -- monomials -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Monomial:
-    points: tuple  # sorted tuple of coordinate tuples (a multiset)
-
-    @classmethod
-    def of(cls, pts):
-        return cls(tuple(sorted(tuple(p) for p in pts)))
-
-    @property
-    def degree(self):
-        return len(self.points)
-
-    @property
-    def image(self):
-        if not self.points:
-            return ()
-        return tuple(map(sum, zip(*self.points)))
-
-    def __mul__(self, other):
-        return Monomial.of(self.points + other.points)
-
-    def divisors(self, k):
-        """Distinct degree-k divisor monomials."""
-        seen = set()
-        for combo in combinations_with_replacement(sorted(set(self.points)), k):
-            cand = Monomial.of(combo)
-            if cand in seen:
-                continue
-            if _multiset_leq(cand.points, self.points):
-                seen.add(cand)
-        return seen
-
-    def to_json_list(self):
-        return [list(p) for p in self.points]
-
-
-def _multiset_leq(small, big):
-    from collections import Counter
-
-    cs, cb = Counter(small), Counter(big)
-    return all(cb[p] >= m for p, m in cs.items())
-
-
 # -- weights and orders ---------------------------------------------------
 
 
@@ -117,7 +74,7 @@ class TermWeight:
         return self._fn(point)
 
     def monomial_weight(self, m):
-        return sum(map(self.weight, m.points))
+        return sum(map(self.weight, m))
 
     @classmethod
     def sigma2(cls, transform=None):
@@ -161,9 +118,9 @@ class TotalOrder(TermWeight):
 
     def monomial_key(self, m):
         return (
-            m.degree,
+            len(m),
             self.monomial_weight(m),
-            tuple(sorted(map(self.point_key, m.points), reverse=True)),
+            tuple(sorted(map(self.point_key, m), reverse=True)),
         )
 
 
@@ -224,7 +181,7 @@ def fiber_set(P, b, N):
     b = tuple(b)
     out = []
     if N == 0:
-        return [Monomial.of(())] if all(x == 0 for x in b) else []
+        return [()] if all(x == 0 for x in b) else []
     dim = len(b)
     n = len(pts)
     # suffix coordinate extremes over pts[i:] for pruning
@@ -243,7 +200,7 @@ def fiber_set(P, b, N):
     def dfs(i, rem, target):
         if rem == 0:
             if all(x == 0 for x in target):
-                out.append(Monomial.of(chosen))
+                out.append(tuple(chosen))
             return
         if i == n:
             return
@@ -259,16 +216,15 @@ def fiber_set(P, b, N):
         chosen.pop()
 
     dfs(0, N, b)
-    return sorted(out, key=lambda m: m.points)
+    return sorted(out)
 
 
 def monomials_by_image(P, N):
     """Dict image -> list of degree-N monomials over X_P."""
     pts = P.lattice_points(1)
     out = {}
-    for combo in combinations_with_replacement(pts, N):
-        m = Monomial(tuple(combo))
-        out.setdefault(m.image, []).append(m)
+    for m in combinations_with_replacement(pts, N):
+        out.setdefault(tuple(map(sum, zip(*m))), []).append(m)
     return out
 
 
@@ -276,9 +232,9 @@ def standard_monomials(P, order, N):
     """Weight-minimal monomials of each nonempty degree-N fiber; exactly one
     per fiber when `order` is total."""
     if N == 0:
-        return {Monomial.of(())}
+        return {()}
     if N == 1:
-        return {Monomial.of((p,)) for p in P.lattice_points(1)}
+        return {(p,) for p in P.lattice_points(1)}
     out = set()
     for b, fiber in monomials_by_image(P, N).items():
         out.update(_fiber_minima(fiber, order))
@@ -314,24 +270,16 @@ def is_flag(P, order, D):
     """Check that standardness is equivalent to 'all degree-2 divisors and
     the matching pure powers are standard', for all monomials of degree <= D.
     Returns Check(ok, counterexample monomial)."""
-    from collections import Counter
-
-    stdk = {}
-    for N in range(2, D + 1):
-        stdk[N] = set()
-        for b, fiber in monomials_by_image(P, N).items():
-            stdk[N].update(_fiber_minima(fiber, order))
-    pts = P.lattice_points(1)
+    std = {N: standard_monomials(P, order, N) for N in range(2, D + 1)}
     for N in range(3, D + 1):
-        for combo in combinations_with_replacement(pts, N):
-            m = Monomial(tuple(combo))
-            predicted = all(d in stdk[2] for d in m.divisors(2))
+        for m in combinations_with_replacement(P.lattice_points(1), N):
+            predicted = all(d in std[2] for d in combinations(m, 2))
             if predicted:
-                for p, mult in Counter(m.points).items():
-                    if mult >= 3 and Monomial.of((p,) * mult) not in stdk[mult]:
+                for p, mult in Counter(m).items():
+                    if mult >= 3 and (p,) * mult not in std[mult]:
                         predicted = False
                         break
-            if predicted != (m in stdk[N]):
+            if predicted != (m in std[N]):
                 return Check(False, m)
     return Check(True)
 
@@ -358,8 +306,8 @@ def is_balanced(P, D, transform=None):
                 balanced.add(target)
         for target, combo in first.items():
             if target not in balanced:
-                native = tuple(pts[tpts.index(q)] for q in combo)
-                return Check(False, Monomial.of(native))
+                native = sorted(pts[tpts.index(q)] for q in combo)
+                return Check(False, tuple(native))
     return Check(True)
 
 
@@ -398,11 +346,10 @@ def initial_complex_maximal_faces(P, order, D):
     chk = is_flag(P, order, D)
     if not chk.ok:
         raise NotFlag(f"order is not flag to degree {D}: {chk.witness}")
-    std2 = {m for fiber in monomials_by_image(P, 2).values()
-            for m in _fiber_minima(fiber, order)}
+    std2 = standard_monomials(P, order, 2)
     # only points with standard squares can appear in a face at all
-    good = [p for p in P.lattice_points(1) if Monomial.of((p, p)) in std2]
-    adj = {p: {q for q in good if q != p and Monomial.of((p, q)) in std2}
+    good = [p for p in P.lattice_points(1) if (p, p) in std2]
+    adj = {p: {q for q in good if q != p and (min(p, q), max(p, q)) in std2}
            for p in good}
     faces = set()
 

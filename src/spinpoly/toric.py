@@ -24,10 +24,10 @@ from .graphs import (
 from .polytopes import from_graph
 from .termorders import (
     Check,
-    Monomial,
     TotalOrder,
     is_balanced,
     monomials_by_image,
+    standard_monomials,
     _fiber_minima,
 )
 
@@ -70,8 +70,8 @@ def is_normal(P, Dmax):
 
 @dataclass(frozen=True)
 class BinomialRelation:
-    lhs: Monomial
-    rhs: Monomial
+    lhs: tuple  # monomials
+    rhs: tuple
 
 
 def degree_two_relations(P, order):
@@ -85,7 +85,7 @@ def degree_two_relations(P, order):
         for m in fiber:
             if m not in minima:
                 out.append(BinomialRelation(m, std))
-    return sorted(out, key=lambda rel: rel.lhs.points)
+    return sorted(out, key=lambda rel: rel.lhs)
 
 
 @dataclass
@@ -108,13 +108,13 @@ def _polytope_id(P):
 
 def _lifted_spanning_tree(fiber, b, lower, N):
     """Minimum spanning tree of a degree-N fiber, as (w, u, v) edges of
-    exchange size w.  Monomials that differ in w < N points share a point p,
+    exchange size w.  Two monomials that differ in w < N points share a point p,
     and their quotients by p differ in the same points inside fiber b - p; so
     the lifts by p of the trees of the fibers b - p (`lower`) connect what the
     exchange graph connects below weight N.  Weight-N edges join the rest."""
-    index = {m.points: i for i, m in enumerate(fiber)}
+    index = {m: i for i, m in enumerate(fiber)}
     edges = []
-    for p in sorted({q for m in fiber for q in m.points}):
+    for p in sorted({q for m in fiber for q in m}):
         sub = tuple(x - y for x, y in zip(b, p))
         edges += [(w, p, u, v) for w, u, v in lower.get(sub, ())]
     edges.sort(key=lambda e: e[0])
@@ -134,7 +134,7 @@ def _lifted_spanning_tree(fiber, b, lower, N):
         if i != j:
             parent[i] = j
             tree.append((w, u, v))
-    roots = [fiber[i].points for i in range(len(fiber)) if find(i) == i]
+    roots = [fiber[i] for i in range(len(fiber)) if find(i) == i]
     return tree + [(N, roots[0], r) for r in roots[1:]]
 
 
@@ -186,14 +186,11 @@ def quadratic_squarefree_gb(P, order, Dmax):
     if not isinstance(order, TotalOrder):
         raise NotTotal("a total order is required")
     pts = list(P.lattice_points(1))
-    std2, relations = set(), 0
-    for b, fiber in monomials_by_image(P, 2).items():
-        std2.add(_fiber_minima(fiber, order)[0])
-        relations += len(fiber) - 1
+    std2 = standard_monomials(P, order, 2)
     for p in pts:
-        if Monomial.of((p, p)) not in std2:
+        if (p, p) not in std2:
             return Check(False, {"reason": "square leading term",
-                                 "witness": Monomial.of((p, p))})
+                                 "witness": (p, p)})
     table = hilbert(P, Dmax)
     counts = _pair_standard_counts(pts, std2, Dmax)
     for N in range(2, Dmax + 1):
@@ -201,6 +198,8 @@ def quadratic_squarefree_gb(P, order, Dmax):
             return Check(False, {"reason": "count mismatch", "degree": N,
                                  "standard_count": counts[N],
                                  "hilbert": table[N]})
+    # one standard monomial per fiber: the others lead the relations
+    relations = comb(len(pts) + 1, 2) - len(std2)
     return Check(True, {"checked": Dmax, "relations": relations})
 
 
@@ -213,7 +212,7 @@ def _pair_standard_counts(pts, std2, Dmax):
     of the graph's Stanley-Reisner ring (Sturmfels 1996, ch. 8)."""
     n = len(pts)
     later = [{j for j in range(i + 1, n)
-              if Monomial.of((pts[i], pts[j])) in std2} for i in range(n)]
+              if (pts[i], pts[j]) in std2} for i in range(n)]
     f = [0] * (Dmax + 2)  # f[k]: k-cliques, k <= max(Dmax, 1)
 
     def extend(k, common):
@@ -252,8 +251,6 @@ class Certificate:
 
 
 def _jsonable(x):
-    if isinstance(x, Monomial):
-        return x.to_json_list()
     if isinstance(x, (tuple, list)):
         return [_jsonable(y) for y in x]
     if isinstance(x, dict):

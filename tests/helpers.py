@@ -3,6 +3,7 @@
 Deliberately naive: box scans with no propagation or pruning, so results are
 computed by a different route than the library's enumerator."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -73,6 +74,40 @@ def naive_nonneg_points(P, N, radius=None):
             continue
         out.append(cand)
     return sorted(out)
+
+
+def loop_with_leaf():
+    """Single trinode carrying a loop and a pendant labeled leaf."""
+    return validate(
+        MarkedGraph(("v", "l1"), (("v", "v"), ("v", "l1")), ((1, "l1"),))
+    )
+
+
+def reglue(eg):
+    """Inverse of explode (up to edge order)."""
+    verts = []
+    for frag in eg.components:
+        for v in frag.vertices:
+            if not (isinstance(v, tuple) and v and v[0] == "stub"):
+                verts.append(v)
+    edges = {}
+    for i, (a, b) in enumerate(eg.source.edges):
+        edges[i] = (a, b)
+    leaves = []
+    for frag in eg.components:
+        leaves.extend(frag.leaves)
+    return validate(
+        MarkedGraph(tuple(verts), tuple(edges[i] for i in sorted(edges)), tuple(sorted(leaves)))
+    )
+
+
+def assembled_point_to_graph_point(assembly, point):
+    """Collapse an assembled point to edge weights of the source graph."""
+    n_edges = max(orig for _, _, orig in assembly.coord_map) + 1
+    out = [None] * n_edges
+    for coord, (_, _, orig) in enumerate(assembly.coord_map):
+        out[orig] = point[coord]
+    return tuple(out)
 
 
 def naive_candidates(genus, n_leaves):
@@ -152,8 +187,8 @@ def naive_canonical_key(n, combo, assign):
 def multiset_difference_size(m1, m2):
     """Degree of the exchanged part between two equal-degree monomials: the
     points of m2 left after striking out each point of m1 once."""
-    rest = list(m2.points)
-    for p in m1.points:
+    rest = list(m2)
+    for p in m1:
         if p in rest:
             rest.remove(p)
     return len(rest)
@@ -212,6 +247,32 @@ def naive_relation_degree(P, move_degree_max, Dmax):
         overall, tight = None, failed[:5]
     return GenerationCertificate(_polytope_id(P), Dmax, overall,
                                  move_degree_max, Dmax, tuple(tight), minimal)
+
+
+def naive_is_flag(P, order, D):
+    """is_flag by a second route, for a total order: each degree's standard
+    monomials are the key-minimal members of fibers grouped here by
+    coordinate sum, and a monomial's degree-2 divisors are the pairs of its
+    distinct points that it holds as a sub-multiset.  Returns (ok, the first
+    monomial in combination order whose standardness the pair and pure-power
+    criterion mispredicts)."""
+    pts = P.lattice_points(1)
+    std = {}
+    for N in range(2, D + 1):
+        fibers = {}
+        for m in combinations_with_replacement(pts, N):
+            fibers.setdefault(tuple(map(sum, zip(*m))), []).append(m)
+        std[N] = {min(f, key=order.monomial_key) for f in fibers.values()}
+    for N in range(3, D + 1):
+        for m in combinations_with_replacement(pts, N):
+            count = Counter(m)
+            divisors = {d for d in combinations_with_replacement(sorted(count), 2)
+                        if all(count[p] >= k for p, k in Counter(d).items())}
+            predicted = divisors <= std[2] and all(
+                (p,) * k in std[k] for p, k in count.items() if k >= 3)
+            if predicted != (m in std[N]):
+                return False, m
+    return True, None
 
 
 def blocks_up_to_level_2():

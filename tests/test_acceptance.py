@@ -28,7 +28,6 @@ from spinpoly.polytopes import (
     with_full_lattice,
 )
 from spinpoly.termorders import (
-    Monomial,
     balance_tuple,
     fiber_set,
     is_balanced,
@@ -172,8 +171,8 @@ def test_criterion_6_building_block_battery():
         gens == {(0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 1),
                  (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1)}
         and len(rels) == 1
-        and rels[0].lhs == Monomial.of([(1, 1, 0, 1), (0, 0, 0, 1)])
-        and rels[0].rhs == Monomial.of([(0, 1, 0, 1), (1, 0, 0, 1)]))
+        and rels[0].lhs == ((0, 0, 0, 1), (1, 1, 0, 1))
+        and rels[0].rhs == ((0, 1, 0, 1), (1, 0, 0, 1)))
     if not structure_ok:
         report(6, False, "Q1(1) generator/relation structure mismatch")
     report(6, True, f"{len(blocks)} blocks balanced to D=3, L<=3; "
@@ -245,12 +244,12 @@ def test_criterion_9_sigma2_fixture():
     P = interval(3)
     fib = fiber_set(P, (3,), 3)
     order = sigma2_lex_order()
-    pts_ok = sorted(m.points for m in fib) == [
+    pts_ok = sorted(fib) == [
         ((0,), (0,), (3,)), ((0,), (1,), (2,)), ((1,), (1,), (1,))]
-    weights = {m.points: order.monomial_weight(m) for m in fib}
+    weights = {m: order.monomial_weight(m) for m in fib}
     weights_ok = (weights[((0,), (0,), (3,))] == 9
                   and weights[((0,), (1,), (2,))] == 5
                   and weights[((1,), (1,), (1,))] == 3)
-    std_ok = Monomial.of([(1,), (1,), (1,)]) in standard_monomials(P, order, 3)
+    std_ok = ((1,), (1,), (1,)) in standard_monomials(P, order, 3)
     report(9, pts_ok and weights_ok and std_ok,
            "fiber {003, 012, 111}, weights 9/5/3, standard 111")

@@ -116,6 +116,15 @@ def test_balanced(t4_path, capsys):
     assert rep["balanced"] == (code == 0)
 
 
+def test_balanced_witness(t4_path, capsys):
+    # the pair of points whose sum has no slice-balanced rewrite, as lists
+    assert run(["balanced", "--graph", t4_path, "--r", "1,1,1,1",
+                "--level", "2"]) == 1
+    rep = out_json(capsys)
+    assert rep["balanced"] is False
+    assert rep["witness"] == [[0, 1, 1, 1, 1], [2, 1, 1, 1, 1]]
+
+
 def test_explode(loopy_path, capsys):
     assert run(["explode", "--graph", loopy_path]) == 0
     rep = out_json(capsys)

@@ -19,7 +19,13 @@ from spinpoly.errors import (
 from spinpoly.graphs import GraphClass
 from spinpoly.polytopes import from_graph
 
-from helpers import naive_candidates, naive_canonical_key, naive_enumerate_graphs
+from helpers import (
+    loop_with_leaf,
+    naive_candidates,
+    naive_canonical_key,
+    naive_enumerate_graphs,
+    reglue,
+)
 
 
 def theta_graph():
@@ -29,7 +35,7 @@ def theta_graph():
 
 
 def test_validate_loop_with_leaf():
-    g = graphs.loop_with_leaf()
+    g = loop_with_leaf()
     assert g.genus == 1
     assert g.n_leaves == 1
 
@@ -98,7 +104,7 @@ def test_classify_snowflake_is_tree_like_not_caterpillar():
 def test_classify_loop_with_leaf_prefers_caterpillar():
     # both a caterpillar graph (loop at a head leaf) and tree-like;
     # precedence picks the caterpillar class
-    assert graphs.classify(graphs.loop_with_leaf()) == GraphClass.CATERPILLAR_GRAPH
+    assert graphs.classify(loop_with_leaf()) == GraphClass.CATERPILLAR_GRAPH
 
 
 def test_classify_doubled_edge_caterpillar():
@@ -147,7 +153,7 @@ def test_explode_four_leaf_tree():
 
 
 def test_explode_loop_with_leaf_no_splits():
-    eg = graphs.explode(graphs.loop_with_leaf())
+    eg = graphs.explode(loop_with_leaf())
     assert len(eg.components) == 1
     assert eg.split_edges == ()
 
@@ -163,8 +169,8 @@ def test_explode_tree_like_g1_n2():
 def test_explode_reglue_identity():
     for g in [graphs.caterpillar_tree(4), graphs.caterpillar_tree(5),
               graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1),
-              graphs.loop_with_leaf()]:
-        back = graphs.reglue(graphs.explode(g))
+              loop_with_leaf()]:
+        back = reglue(graphs.explode(g))
         assert sorted(map(sorted, map(lambda e: list(map(str, e)), back.edges))) == \
             sorted(map(sorted, map(lambda e: list(map(str, e)), g.edges)))
         assert back.leaves == g.leaves

@@ -17,7 +17,6 @@ from spinpoly.polytopes import (
     LatticeMap,
     ParityLattice,
     assemble,
-    assembled_point_to_graph_point,
     edge_projection,
     fiber_product,
     from_graph,
@@ -36,7 +35,13 @@ from spinpoly.polytopes import (
     _unit,
 )
 
-from helpers import fraction_glue_rows, naive_nonneg_points, naive_points
+from helpers import (
+    assembled_point_to_graph_point,
+    fraction_glue_rows,
+    loop_with_leaf,
+    naive_nonneg_points,
+    naive_points,
+)
 
 
 # -- enumeration vs brute force ------------------------------------------
@@ -272,7 +277,7 @@ def test_invalid_block_params():
 def test_loop_with_leaf_polytope():
     # [DERIVED] loop with one leaf pinned to 0, level 1: points (x, 0),
     # x in {0, 1}
-    P = from_graph(graphs.loop_with_leaf(), (0,), 1)
+    P = from_graph(loop_with_leaf(), (0,), 1)
     pts = P.lattice_points(1)
     assert len(pts) == 2
     for p in pts:
@@ -365,6 +370,25 @@ def test_assemble_even_interior_has_transform():
     assert P.to_lattice is not None
     imgs = {P.transform_point(p) for p in P.lattice_points(1)}
     assert len(imgs) == len(P.lattice_points(1))
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_even_interior_maps_are_integral_on_cycles(L):
+    # the edges of a cycle with odd weights are not halved: the triangle
+    # with three leaves, and the genus-2 graph with a doubled edge beside a
+    # triangle, whose doubled pair has an odd sum on some points
+    triangle = graphs.enumerate_graphs(1, 3)[6]
+    genus2 = graphs.enumerate_graphs(2, 1)[2]
+    assert triangle.edges[:3] == ((0, 1), (0, 2), (1, 2))
+    assert genus2.edges.count((0, 1)) == 2
+    for g, r in ((triangle, (2, 2, 2)), (genus2, (2,))):
+        A = assemble(graphs.explode(g), r, L, even_interior=True)
+        for _, _, P in A.components:
+            for N in (1, 2):
+                pts = P.lattice_points(N)
+                assert len({P.transform_point(p) for p in pts}) == len(pts)
+    A = assemble(graphs.explode(triangle), (2, 2, 2), 2, even_interior=True)
+    assert A.polytope.transform_point((1, 1, 1, 2, 2, 2)) == (1, 1, 1, 1, 1, 1)
 
 
 def test_recognize_blocks():

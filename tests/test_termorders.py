@@ -21,7 +21,6 @@ from spinpoly.polytopes import (
 )
 from spinpoly.termorders import (
     Check,
-    Monomial,
     TermWeight,
     TotalOrder,
     b2_cascade_order,
@@ -41,7 +40,7 @@ from spinpoly.termorders import (
     _balanced_decomposition_exists,
 )
 
-from helpers import blocks_up_to_level_2, multiset_difference_size
+from helpers import blocks_up_to_level_2, multiset_difference_size, naive_is_flag
 
 
 # -- balancing ------------------------------------------------------------
@@ -98,19 +97,9 @@ def test_balance_tuple_seeded_battery():
 # -- monomials ------------------------------------------------------------
 
 
-def test_monomial_basics():
-    m = Monomial.of([(1, 0), (0, 1), (1, 0)])
-    assert m.degree == 3
-    assert m.image == (2, 1)
-    assert (m * Monomial.of([(0, 0)])).degree == 4
-    assert Monomial.of([(1, 0), (0, 1)]) in m.divisors(2)
-    assert Monomial.of([(1, 0), (1, 0)]) in m.divisors(2)
-    assert Monomial.of([(0, 1), (0, 1)]) not in m.divisors(2)
-
-
 def test_multiset_difference_size():
-    a = Monomial.of([(0,), (1,), (2,)])
-    b = Monomial.of([(0,), (0,), (3,)])
+    a = ((0,), (1,), (2,))
+    b = ((0,), (0,), (3,))
     assert multiset_difference_size(a, b) == 2
     assert multiset_difference_size(a, a) == 0
 
@@ -121,13 +110,13 @@ def test_multiset_difference_size():
 def test_fiber_set_interval_oracle():
     # [PAPER] degree-3 fiber over b=3 for the interval [0, 3]
     fib = fiber_set(interval(3), (3,), 3)
-    assert sorted(m.points for m in fib) == [
+    assert sorted(fib) == [
         ((0,), (0,), (3,)), ((0,), (1,), (2,)), ((1,), (1,), (1,))]
     order = sigma2_lex_order()
     weights = sorted(order.monomial_weight(m) for m in fib)
     assert weights == [3, 5, 9]
     assert standard_monomials(interval(3), order, 3) >= {
-        Monomial.of([(1,), (1,), (1,)])}
+        ((1,), (1,), (1,))}
 
 
 def test_fiber_set_matches_monomials_by_image():
@@ -135,8 +124,7 @@ def test_fiber_set_matches_monomials_by_image():
     for N in (2, 3):
         grouped = monomials_by_image(P, N)
         for b, fiber in grouped.items():
-            assert sorted(m.points for m in fiber) == \
-                [m.points for m in fiber_set(P, b, N)]
+            assert sorted(fiber) == fiber_set(P, b, N)
 
 
 def test_standard_monomial_p3_oracle():
@@ -146,16 +134,16 @@ def test_standard_monomial_p3_oracle():
     order = sigma2_lex_order(P.transform_point)
     fib = fiber_set(P, (2, 2, 2), 3)
     best = min(fib, key=order.monomial_key)
-    assert best == Monomial.of([(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    assert best == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     std = standard_monomials(P, order, 3)
     assert best in std
-    assert Monomial.of([(0, 0, 0), (2, 2, 2), (0, 2, 2)]) not in std
+    assert ((0, 0, 0), (0, 2, 2), (2, 2, 2)) not in std
 
 
 def test_p3_level1_degree2_fiber_singleton():
     # [DERIVED] at L=1 the degree-2 fiber over (1,1,2) has a single member
     fib = fiber_set(p3(1), (1, 1, 2), 2)
-    assert fib == [Monomial.of([(0, 1, 1), (1, 0, 1)])]
+    assert fib == [((0, 1, 1), (1, 0, 1))]
 
 
 def test_unique_standard_with_total_order():
@@ -203,11 +191,11 @@ def test_initial_complex_faces_match_networkx_cliques():
              (fp, sigma2_lex_order(fp.transform_point))]
     for P, order in cases:
         std2 = standard_monomials(P, order, 2)
-        good = [p for p in P.lattice_points(1) if Monomial.of((p, p)) in std2]
+        good = [p for p in P.lattice_points(1) if (p, p) in std2]
         G = nx.Graph()
         G.add_nodes_from(good)
         G.add_edges_from((p, q) for i, p in enumerate(good)
-                         for q in good[i + 1:] if Monomial.of((p, q)) in std2)
+                         for q in good[i + 1:] if (p, q) in std2)
         faces = initial_complex_maximal_faces(P, order, 3)
         assert len(faces) > 1
         assert faces == {frozenset(c) for c in nx.find_cliques(G)}
@@ -216,13 +204,38 @@ def test_initial_complex_faces_match_networkx_cliques():
     assert initial_complex_maximal_faces(empty, sigma2_lex_order(), 3) == set()
 
 
+def _scrambled_interval_order():
+    scramble = {(0,): 5, (1,): 0, (2,): 4, (3,): 1}
+    return TotalOrder(lambda p: scramble[tuple(p)],
+                      lambda p: (scramble[tuple(p)], tuple(p)))
+
+
+def test_is_flag_matches_divisor_reference():
+    # verdict and witness, the first mispredicted monomial in combination
+    # order, on the scrambled interval order and seeded random total orders
+    cases = [(interval(3), _scrambled_interval_order(), 4)]
+    rng = random.Random(20261019)
+    for P in (p3(2), loop_b(2), quadrant(1, 2), p3_fixed2(2, 2, 4),
+              interval(4)):
+        for _ in range(10):
+            w = {p: rng.randint(0, 3) for p in P.lattice_points(1)}
+            rank = {p: rng.random() for p in P.lattice_points(1)}
+            order = TotalOrder(w.__getitem__, lambda p, w=w, rank=rank:
+                               (w[p], rank[p]))
+            cases.append((P, order, 3))
+    verdicts = []
+    for P, order, D in cases:
+        chk = is_flag(P, order, D)
+        assert (chk.ok, chk.witness) == naive_is_flag(P, order, D)
+        verdicts.append(chk.ok)
+    assert verdicts.count(False) > 10 and verdicts.count(True) > 10
+
+
 def test_initial_complex_requires_flag():
     # a deliberately scrambled order on the interval need not be flag; if it
     # is not, the face computation must refuse
     P = interval(3)
-    scramble = {(0,): 5, (1,): 0, (2,): 4, (3,): 1}
-    order = TotalOrder(lambda p: scramble[tuple(p)],
-                       lambda p: (scramble[tuple(p)], tuple(p)))
+    order = _scrambled_interval_order()
     chk = is_flag(P, order, 4)
     if not chk.ok:
         with pytest.raises(NotFlag):
@@ -271,8 +284,8 @@ def _balanced_per_combination(P, D, transform):
             if target not in found:
                 found[target] = _balanced_decomposition_exists(tset, target, N)
             if not found[target]:
-                native = tuple(pts[tpts.index(q)] for q in combo)
-                return Check(False, Monomial.of(native))
+                native = sorted(pts[tpts.index(q)] for q in combo)
+                return Check(False, tuple(native))
     return Check(True)
 
 
@@ -351,9 +364,9 @@ def test_boxtimes_requires_total():
 
 def test_monomial_key_orders_by_degree_then_weight():
     order = sigma2_lex_order()
-    m1 = Monomial.of([(0,)])
-    m2 = Monomial.of([(1,), (1,)])
-    m3 = Monomial.of([(0,), (2,)])
+    m1 = ((0,),)
+    m2 = ((1,), (1,))
+    m3 = ((0,), (2,))
     assert order.monomial_key(m1) < order.monomial_key(m2)
     assert order.monomial_key(m2) < order.monomial_key(m3)
 
@@ -366,8 +379,8 @@ def test_point_table_keys_match_fresh_order(monkeypatch):
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dbl4 = graphs.double_edge_at(t4, internal[0])
     wp, _ = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
-    monos = [Monomial(c) for c in
-             combinations_with_replacement(wp.polytope.lattice_points(1), 2)]
+    monos = list(
+        combinations_with_replacement(wp.polytope.lattice_points(1), 2))
     assert len(monos) > 100
     # fill the tables in reverse, then read every key back from them
     filled = [wp.order.monomial_key(m) for m in reversed(monos)][::-1]
@@ -384,5 +397,5 @@ def test_point_table_keys_match_fresh_order(monkeypatch):
     w = {p: fresh.order.weight(p) for p in wp.polytope.lattice_points(1)}
     k = {p: fresh.order.point_key(p) for p in wp.polytope.lattice_points(1)}
     expected = [(2, w[p] + w[q], tuple(sorted((k[p], k[q]), reverse=True)))
-                for p, q in (m.points for m in monos)]
+                for p, q in monos]
     assert memo == filled == expected

@@ -18,7 +18,6 @@ from spinpoly.polytopes import (
 from spinpoly.catp import boxtimes_assemble
 from spinpoly.termorders import (
     Check,
-    Monomial,
     TermWeight,
     monomials_by_image,
     sigma2_lex_order,
@@ -142,11 +141,11 @@ def test_lifted_spanning_tree_takes_light_edges_first():
     # u, v differ in 3 points but are joined through w by two exchanges of
     # size 2; lifted by the point 0, the tree keeps the two light edges
     u, v, w = ((1,), (2,), (6,)), ((3,), (3,), (3,)), ((1,), (3,), (5,))
-    fiber = [Monomial(((0,),) + m) for m in (u, v, w)]
+    fiber = [((0,),) + m for m in (u, v, w)]
     lower = {(9,): [(3, u, v), (2, u, w), (2, w, v)]}
     tree = _lifted_spanning_tree(fiber, (9,), lower, 4)
     assert [e[0] for e in tree] == [2, 2]
-    assert {e[1] for e in tree} <= {m.points for m in fiber}
+    assert {e[1] for e in tree} <= set(fiber)
 
 
 @pytest.mark.parametrize("P, counts", [
@@ -189,8 +188,8 @@ def test_degree_two_relations_q1():
     order = sigma2_lex_order()
     rels = degree_two_relations(P, order)
     assert len(rels) == 1
-    assert rels[0].lhs == Monomial.of([(1, 1, 0, 1), (0, 0, 0, 1)])
-    assert rels[0].rhs == Monomial.of([(0, 1, 0, 1), (1, 0, 0, 1)])
+    assert rels[0].lhs == ((0, 0, 0, 1), (1, 1, 0, 1))
+    assert rels[0].rhs == ((0, 1, 0, 1), (1, 0, 0, 1))
 
 
 # -- quadratic square-free GB ---------------------------------------------
@@ -236,7 +235,7 @@ def test_gb_fails_on_cubic_region():
 
 def _assert_counts_match_search(pts, std2, D):
     ok_pair = {(p, q) for p in pts for q in pts
-               if p <= q and Monomial.of((p, q)) in std2}
+               if p <= q and (p, q) in std2}
     assert _pair_standard_counts(pts, std2, D) == {
         N: count_pair_standard_multisets(pts, ok_pair, N)
         for N in range(2, D + 1)}
@@ -261,7 +260,7 @@ def test_pair_standard_counts_match_multiset_search():
     pts = [(i,) for i in range(5)]
     pairs = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
              (0, 1), (0, 2), (1, 2), (2, 3)]
-    std2 = {Monomial.of((pts[i], pts[j])) for i, j in pairs}
+    std2 = {(pts[i], pts[j]) for i, j in pairs}
     _assert_counts_match_search(pts, std2, 5)
 
 
