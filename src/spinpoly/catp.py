@@ -8,7 +8,13 @@ a degree bound and reported; nothing is proved symbolically.
 
 from dataclasses import dataclass
 
-from .errors import NonTotalComponents, NonUniqueBase, NotAPolytopeMap, NotTotal
+from .errors import (
+    HypothesisViolated,
+    NonTotalComponents,
+    NonUniqueBase,
+    NotAPolytopeMap,
+    NotTotal,
+)
 from .graphs import explode, validate
 from .polytopes import assemble, fiber_product
 from .termorders import (
@@ -203,13 +209,18 @@ def boxtimes_object(m1, m2, D):
 # -- assembled caterpillar orders ----------------------------------------
 
 
-def component_total_order(P, frag):
-    """Total order for an exploded component: doubled-edge components get the
-    (x,z,A,B) cascade, everything else Σ² + lex on lattice coordinates."""
+def component_total_order(P, frag, kind):
+    """Total order for an exploded component of block kind `kind`: a
+    `loop_b2` block gets the (x,z,A,B) cascade, any other fragment without a
+    doubled pair Σ² + lex on lattice coordinates."""
     from .polytopes import _doubled_pairs
 
-    if _doubled_pairs(frag):
+    if kind is not None and kind.name == "loop_b2":
         return b2_cascade_order(P.transform_point)
+    if _doubled_pairs(frag):
+        raise HypothesisViolated(
+            f"a {len(frag.edges)}-edge fragment with a doubled pair is not a "
+            f"loop_b2 block: no total order is known for it")
     return sigma2_lex_order(P.transform_point)
 
 
@@ -227,7 +238,7 @@ def boxtimes_assemble(g, r, L):
     orders = {}
     dims = {}
     for ci, (frag, kind, P) in enumerate(assembly.components):
-        orders[ci] = component_total_order(P, frag)
+        orders[ci] = component_total_order(P, frag, kind)
         dims[ci] = P.dim
     acc = orders[comp_seq[0]]
     acc_dim = dims[comp_seq[0]]

@@ -290,13 +290,19 @@ def _trinode_rows(dim, inc, L):
     return ineqs, tuple(inc)
 
 
+def weighted_graph(g, r):
+    """g validated, with one leaf weight in r per leaf."""
+    g = validate(g)
+    if len(r) != g.n_leaves:
+        raise LengthMismatch(f"{len(r)} weights for {g.n_leaves} leaves")
+    return g
+
+
 def from_graph(g, r, L, lattice="parity"):
     """The polytope of nonnegative edge weightings of g with leaf weights r
     and level L: per trinode the triangle inequalities, level sum <= 2L, and
     (parity lattice) even trinode sum."""
-    g = validate(g)
-    if len(r) != g.n_leaves:
-        raise LengthMismatch(f"{len(r)} weights for {g.n_leaves} leaves")
+    g = weighted_graph(g, r)
     dim = len(g.edges)
     ineqs = [(_unit(dim, i, -1), 0) for i in range(dim)]
     psets = []

@@ -6,6 +6,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from .errors import (
@@ -21,7 +22,7 @@ from .graphs import (
     validate,
     _is_tree_like,
 )
-from .polytopes import from_graph
+from .polytopes import from_graph, weighted_graph
 from .termorders import (
     Check,
     TotalOrder,
@@ -48,11 +49,105 @@ class HilbertTable:
         return "\n".join(lines) + "\n"
 
 
-def hilbert(P, Nmax):
-    entries = [len(P.lattice_points(n)) for n in range(Nmax + 1)]
-    if Nmax >= 1 and all(c == 0 for c in entries[1:]):
+def _table(entries):
+    if len(entries) > 1 and not any(entries[1:]):
         entries[0] = 0  # empty-polytope convention
     return HilbertTable(tuple(entries))
+
+
+def hilbert(P, Nmax):
+    return _table([len(P.lattice_points(n)) for n in range(Nmax + 1)])
+
+
+def hilbert_by_fusion(g, r, L, Nmax):
+    """The Hilbert table of from_graph(g, r, L), counted without listing a
+    point.
+
+    The polytope's constraints factor over trinodes: each asks for the
+    triangle inequalities, an even sum and a sum <= 2NL (a loop counts
+    twice), and leaf edges are pinned to N·r_i.  Eliminating the trinodes
+    one at a time, with the running counts keyed by the weights of the edges
+    a later trinode still reads, sums over exactly the points that
+    `lattice_points` lists.  So the table equals `hilbert(from_graph(g, r,
+    L), Nmax)` for every r and L: this is the polytope's own count, not the
+    Verlinde formula, and needs none of its range conditions."""
+    g = weighted_graph(g, r)
+    pinned, steps = _elimination_plan(g)
+    entries = []
+    for N in range(Nmax + 1):
+        pins = tuple(N * x for x in r)
+        # a negative pin, or unequal pins on the edge joining two leaves
+        if min(pins, default=0) < 0 or any(
+                p != pins[pinned.index(e)] for e, p in zip(pinned, pins)):
+            entries.append(0)
+        else:
+            entries.append(_fusion_count(steps, pins, N * L))
+    return _table(entries)
+
+
+def _elimination_plan(g):
+    """The leaf edges of g in label order, and its trinodes in a greedy
+    elimination order as steps (loop, known, n_new, keep).  The running
+    counts are keyed by the weights of the frontier: the edges that a later
+    trinode still reads.  A step's trinode reads its known edges at
+    positions `known` of (leaf pins, frontier), and brings in n_new new
+    edges (a loop edge is always new, and last); `keep` picks the next
+    frontier from (leaf pins, frontier, new).  Each step takes the trinode
+    that brings in the fewest new edges, then the one that reads the most
+    frontier edges, then the first in vertex order."""
+    pinned = tuple(g.leaf_edge_index(lab) for lab, _ in g.leaves)
+    todo = [g.incident_edges(v) for v in g.internal_vertices]
+    frontier, steps = (), []
+    while todo:
+        known = set(pinned) | set(frontier)
+        inc = todo.pop(min(range(len(todo)), key=lambda i: (
+            len(set(todo[i]) - known), -len(set(todo[i]) & set(frontier)))))
+        edges = sorted(set(inc), key=lambda e: (e not in known, inc.count(e), e))
+        new = [e for e in edges if e not in known]
+        later = {e for t in todo for e in t}
+        keep = [e for e in (*frontier, *new) if e in later]
+        layout = (*pinned, *frontier, *new)
+        steps.append((len(edges) == 2,
+                      tuple(layout.index(e) for e in edges if e in known),
+                      len(new), tuple(layout.index(e) for e in keep)))
+        frontier = tuple(keep)
+    return pinned, steps
+
+
+def _fusion_count(steps, pins, NL):
+    counts = {(): 1}
+    for loop, known, n_new, keep in steps:
+        nxt = {}
+        for vals, c in counts.items():
+            ext = pins + vals
+            for new, m in _trinode_weights(
+                    loop, tuple(map(ext.__getitem__, known)), n_new, NL):
+                key = tuple(map((ext + new).__getitem__, keep))
+                nxt[key] = nxt.get(key, 0) + c * m
+        counts = nxt
+    return sum(counts.values())
+
+
+def _trinode_weights(loop, known, n_new, NL):
+    """The weights of a trinode's new edges given its known ones, with the
+    number of points each choice stands for.  A loop trinode (a, l) needs a
+    even and a/2 <= l <= NL - a/2, so l is counted, not listed.  Otherwise
+    each new edge but the last ranges over [0, NL], as no weight exceeds
+    half the trinode's sum, and the last, c, over the range that the other
+    two, a and b, leave it: |a-b| <= c <= min(a+b, 2NL-a-b), c = a+b mod 2."""
+    if loop:
+        for a in known or range(0, NL + 1, 2):
+            if a % 2 == 0 and a <= NL:
+                yield (() if known else (a,)), NL - a + 1
+        return
+    for xs in product(range(NL + 1), repeat=max(n_new - 1, 0)):
+        a, b, *third = known + xs
+        lo, hi = abs(a - b), min(a + b, 2 * NL - a - b)
+        if not third:
+            for c in range(lo, hi + 1, 2):
+                yield xs + (c,), 1
+        elif lo <= third[0] <= hi and (third[0] - lo) % 2 == 0:
+            yield (), 1
 
 
 def is_normal(P, Dmax):
@@ -238,9 +333,10 @@ class Certificate:
     result: bool
     witnesses: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    table: list = None  # invariance: the common Hilbert table
 
     def to_json_dict(self):
-        return {
+        out = {
             "theorem": self.theorem,
             "instance": self.instance,
             "bounds": self.bounds,
@@ -248,6 +344,9 @@ class Certificate:
             "witnesses": [_jsonable(w) for w in self.witnesses],
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
+        if self.table is not None:
+            out["table"] = self.table
+        return out
 
 
 def _jsonable(x):
@@ -268,7 +367,9 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
       in degree <= 3.
     polyquad: caterpillar + even r + even level: quadratic square-free GB
       under the assembled concatenation order.
-    invariance: Hilbert tables agree across all graphs with (genus, leaves).
+    invariance: Hilbert tables, by `hilbert_by_fusion`, agree across all
+      graphs with (genus, leaves); a family whose polytopes have no
+      degree-1 point is refused.
     d2bp: caterpillar tree + even r: the assembly is a fiber product of
       <= 2-dimensional balanced blocks and its GB check passes.
     """
@@ -277,20 +378,31 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
     if name == "invariance":
         if genus is None or leaves is None or r is None or level is None:
             raise HypothesisViolated("invariance needs genus, leaves, r, level")
+        if level < 0:
+            raise HypothesisViolated(f"level L = {level} must be >= 0")
         gs = enumerate_graphs(genus, leaves)
         if not gs:
             raise HypothesisViolated(f"no graph has genus {genus} and {leaves} leaves")
-        tables = []
-        for g in gs:
-            tables.append(hilbert(from_graph(g, tuple(r), level), nmax).entries)
-        timings["total"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        timings["graphs"] = t1 - t0
+        tables = [hilbert_by_fusion(g, tuple(r), level, nmax).entries
+                  for g in gs]
+        timings["counts"] = time.perf_counter() - t1
         ok = all(t == tables[0] for t in tables)
+        if ok and not any(tables[0][1:2]):
+            # nothing in degree 1: the polytopes are empty (say r_i > L) or their
+            # points need an even dilation (an odd number of odd r_i)
+            raise HypothesisViolated(
+                f"the family's common table {list(tables[0])} has no "
+                f"degree-1 point")
+        timings["total"] = time.perf_counter() - t0
         return Certificate(
             "invariance",
             {"genus": genus, "leaves": leaves, "r": list(r), "level": level,
              "nGraphs": len(gs)},
             {"nmax": nmax}, ok,
-            [] if ok else [{"tables": tables}], timings)
+            [] if ok else [{"tables": tables}], timings,
+            list(tables[0]) if ok else None)
 
     g = validate(graph)
     r = tuple(r)

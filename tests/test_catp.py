@@ -14,7 +14,12 @@ from spinpoly.catp import (
     verify_double_weight_equivalence,
     verify_flag_product_faces,
 )
-from spinpoly.errors import NonTotalComponents, NonUniqueBase, NotAPolytopeMap
+from spinpoly.errors import (
+    HypothesisViolated,
+    NonTotalComponents,
+    NonUniqueBase,
+    NotAPolytopeMap,
+)
 from spinpoly.polytopes import (
     LatticeMap,
     edge_projection,
@@ -159,14 +164,24 @@ def test_component_total_order_kinds():
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dg = graphs.double_edge_at(t4, internal[0])
     eg = graphs.explode(dg)
-    from spinpoly.polytopes import fragment_polytope
+    from spinpoly.polytopes import fragment_polytope, recognize_block
 
     kinds = set()
     for frag in eg.components:
         P = fragment_polytope(frag, {1: 2, 2: 2, 3: 2, 4: 2}, 2,
                               even_stubs=True)
-        kinds.add(component_total_order(P, frag).kind)
+        order = component_total_order(P, frag, recognize_block(frag, 2))
+        kinds.add(order.kind)
     assert kinds == {"sigma2-lex", "b2-cascade"}
+
+
+def test_doubled_pair_outside_loop_b2_is_refused():
+    # genus 2, one leaf: the doubled pair sits in a 5-edge fragment with a
+    # third trinode, which recognize_block does not name loop_b2
+    g = graphs.enumerate_graphs(2, 1)[2]
+    with pytest.raises(HypothesisViolated,
+                       match="5-edge fragment with a doubled pair"):
+        boxtimes_assemble(g, (2,), 2)
 
 
 def test_boxtimes_assemble_tree():

@@ -164,6 +164,7 @@ def test_verify_invariance(capsys):
                 "--leaves", "4", "--r", "1,1,2,2", "--level", "2"]) == 0
     rep = out_json(capsys)
     assert rep["result"] is True
+    assert rep["table"] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("genus,leaves,r", [
@@ -174,6 +175,18 @@ def test_verify_invariance_empty_family_exit_2(genus, leaves, r, capsys):
                 "--leaves", leaves, "--r", r, "--level", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("r,level,msg", [
+    ("5,5,5,5", "2", "table [0, 0, 0, 0] has no degree-1 point"),
+    ("1,1,1,2", "2", "table [1, 0, 1, 0] has no degree-1 point"),
+    ("1,1,2,2", "-1", "level L = -1 must be >= 0")])
+def test_verify_invariance_no_degree_one_point_exit_2(r, level, msg, capsys):
+    # r_i > L, an odd number of odd r_i, L < 0: no vacuous pass
+    assert run(["verify", "--theorem", "invariance", "--genus", "0",
+                "--leaves", "4", "--r", r, "--level", level]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and msg in err
 
 
 def test_verify_polypres_bad_level_exit_2(t4_path, capsys):

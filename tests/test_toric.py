@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 from spinpoly import graphs
 from spinpoly.errors import (
     HypothesisViolated,
+    LengthMismatch,
     NormalityPrerequisiteFailed,
     NotTotal,
 )
 from spinpoly.polytopes import (
     from_graph,
     interval,
+    lattice_points,
     loop_b,
     p3,
     quadrant,
@@ -26,6 +30,7 @@ from spinpoly.termorders import (
 from spinpoly.toric import (
     degree_two_relations,
     hilbert,
+    hilbert_by_fusion,
     is_normal,
     quadratic_squarefree_gb,
     relation_degree,
@@ -65,6 +70,63 @@ def test_hilbert_tree_like_oracle():
     # [DERIVED] loop-at-leaf graph, r=(2,2), L=2
     g = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     assert hilbert(from_graph(g, (2, 2), 2), 3).entries == (1, 3, 5, 7)
+
+
+# The invariance benchmark's families, (genus, leaves, L, r), and those of
+# scripts/run_verifications.py.
+INVARIANCE_FAMILIES = (
+    (0, 6, 2, (1, 1, 1, 1, 2, 2)),
+    (0, 6, 3, (1, 1, 2, 2, 3, 3)),
+    (1, 4, 2, (1, 1, 2, 2)),
+    (1, 4, 3, (1, 2, 2, 3)),
+    (2, 2, 2, (1, 1)),
+    (2, 2, 3, (1, 3)),
+    (2, 3, 2, (2, 2, 2)),
+    (0, 4, 2, (1, 1, 2, 2)),
+    (0, 5, 2, (1, 1, 2, 1, 1)),
+    (1, 1, 2, (2,)),
+    (1, 2, 2, (2, 2)),
+)
+
+
+@pytest.mark.parametrize("genus,leaves,L,r", INVARIANCE_FAMILIES)
+def test_hilbert_by_fusion_matches_enumeration(genus, leaves, L, r):
+    for g in graphs.enumerate_graphs(genus, leaves):
+        assert (hilbert_by_fusion(g, r, L, 3)
+                == hilbert(from_graph(g, r, L), 3))
+
+
+def test_hilbert_by_fusion_seeded_sweep():
+    # r_i > L, an odd number of odd r_i, loops (genus 1 and 2), doubled
+    # edges (genus 2), the leaf-to-leaf edge of (0, 2), and L = 0
+    rng = random.Random(18)
+    for genus, leaves in ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (2, 0),
+                          (2, 1)):
+        for g in graphs.enumerate_graphs(genus, leaves):
+            for _ in range(6):
+                r = tuple(rng.randrange(5) for _ in range(leaves))
+                L = rng.randrange(4)
+                assert (hilbert_by_fusion(g, r, L, 3)
+                        == hilbert(from_graph(g, r, L), 3)), (g, r, L)
+
+
+def test_hilbert_by_fusion_empty_convention():
+    g = graphs.caterpillar_tree(4)
+    assert hilbert_by_fusion(g, (1, 2, 2, 2), 2, 2).entries == (0, 0, 0)
+    assert hilbert_by_fusion(g, (1, 1, 2, 2), 2, 0).entries == (1,)
+
+
+def test_hilbert_by_fusion_rejects_wrong_length_r():
+    with pytest.raises(LengthMismatch):
+        hilbert_by_fusion(graphs.caterpillar_tree(4), (2, 2, 2), 2, 3)
+
+
+def test_invariance_lists_no_lattice_point():
+    before = lattice_points.cache_info()
+    cert = verify_theorem("invariance", genus=1, leaves=2, r=(1, 3),
+                          level=3, nmax=3)
+    assert cert.result
+    assert lattice_points.cache_info() == before  # no miss, and no hit
 
 
 # -- normality ------------------------------------------------------------
@@ -329,6 +391,8 @@ def test_invariance():
                           r=(1, 1, 2, 2), level=2, nmax=3)
     assert cert.result
     assert cert.instance["nGraphs"] == 3
+    assert cert.table == [1, 1, 1, 1]
+    assert set(cert.timings) == {"graphs", "counts", "total"}
 
 
 def test_d2bp():
@@ -349,6 +413,7 @@ def test_certificate_json():
     d = cert.to_json_dict()
     assert d["theorem"] == "invariance"
     assert d["result"] is True
+    assert d["table"] == [1, 1, 1]
     import json
 
     json.dumps(d)
