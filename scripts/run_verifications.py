@@ -22,20 +22,20 @@ def instances():
     loopy = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
 
     yield "polypres", dict(graph=graphs.caterpillar_tree(3),
-                           r=(2, 2, 2), level=4)
-    yield "polypres", dict(graph=t4, r=(1, 1, 2, 2), level=4)
-    yield "polypres", dict(graph=t4, r=(2, 2, 2, 2), level=4)
+                           r=(2, 2, 2), level=2)
+    yield "polypres", dict(graph=t4, r=(1, 1, 2, 2), level=2)
+    yield "polypres", dict(graph=t4, r=(2, 2, 2, 2), level=2)
     yield "polypres", dict(graph=graphs.caterpillar_tree(5),
-                           r=(1, 1, 2, 1, 1), level=4)
-    yield "polypres", dict(graph=loopy, r=(2, 2), level=4)
+                           r=(1, 1, 2, 1, 1), level=2)
+    yield "polypres", dict(graph=loopy, r=(2, 2), level=2)
 
-    yield "polyquad", dict(graph=t4, r=(2, 2, 2, 2), level=4)
-    yield "polyquad", dict(graph=doubled, r=(2, 2, 2, 2), level=4)
-    yield "polyquad", dict(graph=loopy, r=(2, 2), level=4)
+    yield "polyquad", dict(graph=t4, r=(2, 2, 2, 2), level=2)
+    yield "polyquad", dict(graph=doubled, r=(2, 2, 2, 2), level=2)
+    yield "polyquad", dict(graph=loopy, r=(2, 2), level=2)
 
-    yield "d2bp", dict(graph=t4, r=(2, 2, 2, 2), level=4)
+    yield "d2bp", dict(graph=t4, r=(2, 2, 2, 2), level=2)
     yield "d2bp", dict(graph=graphs.caterpillar_tree(5),
-                       r=(2, 2, 2, 2, 2), level=4)
+                       r=(2, 2, 2, 2, 2), level=2)
 
     yield "invariance", dict(genus=0, leaves=4, r=(1, 1, 2, 2), level=2)
     yield "invariance", dict(genus=0, leaves=5, r=(1, 1, 2, 1, 1), level=2)

@@ -215,7 +215,7 @@ def component_total_order(P, frag, kind):
     doubled pair Σ² + lex on lattice coordinates."""
     from .polytopes import _doubled_pairs
 
-    if kind is not None and kind.name == "loop_b2":
+    if kind == "loop_b2":
         return b2_cascade_order(P.transform_point)
     if _doubled_pairs(frag):
         raise HypothesisViolated(

@@ -29,6 +29,9 @@ def _int_list(text):
     return [int(x) for x in text.split(",")]
 
 
+_LEVEL_HELP = "the SL2 level L: each trinode's weight sum is at most 2L"
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="spinpoly",
@@ -41,7 +44,8 @@ def _build_parser():
         if need_r:
             sp.add_argument("--r", type=_int_list, required=True,
                             help="comma-separated leaf weights")
-            sp.add_argument("--level", type=int, required=True)
+            sp.add_argument("--level", type=int, required=True,
+                            help=_LEVEL_HELP)
         sp.add_argument("--out", help="write the report here instead of stdout")
 
     sp = sub.add_parser("points", help="lattice points of a dilation")
@@ -85,12 +89,11 @@ def _build_parser():
                     choices=("polypres", "polyquad", "invariance", "d2bp"))
     sp.add_argument("--graph")
     sp.add_argument("--r", type=_int_list)
-    sp.add_argument("--level", type=int)
+    sp.add_argument("--level", type=int, help=_LEVEL_HELP)
     sp.add_argument("--genus", type=int)
     sp.add_argument("--leaves", type=int)
     sp.add_argument("--max-dilation", type=int, default=3)
     sp.add_argument("--dmax", type=int, default=4)
-    sp.add_argument("--move-max", type=int, default=3)
     sp.add_argument("--out")
 
     sp = sub.add_parser("graphs", help="enumerate trivalent graphs")
@@ -170,7 +173,7 @@ def _dispatch(args):
     if cmd == "verify":
         kwargs = dict(r=args.r, level=args.level, genus=args.genus,
                       leaves=args.leaves, nmax=args.max_dilation,
-                      dmax=args.dmax, move_max=args.move_max)
+                      dmax=args.dmax)
         if args.theorem != "invariance":
             if not args.graph:
                 raise HypothesisViolated("--graph is required")
@@ -255,8 +258,7 @@ def _dispatch(args):
         report = _envelope(args, {"dmax": args.dmax}, {
             "pass": chk.ok,
             "detail": chk.witness if isinstance(chk.witness, dict) else None,
-            "components": [k.name if k else "fragment"
-                           for _, k, _ in assembly.components],
+            "components": [k for _, k, _ in assembly.components],
         })
         _emit(report, args)
         return 0 if chk.ok else 1
@@ -277,7 +279,7 @@ def _dispatch(args):
         report = _envelope(args, {}, {
             "steps": list(A.steps),
             "components": [
-                {"kind": k.name if k else "fragment",
+                {"kind": k,
                  "dim": P.dim,
                  "degreeOnePoints": len(P.lattice_points(1))}
                 for _, k, P in A.components

@@ -33,12 +33,43 @@ class MarkedGraph:
 
     edges are unordered pairs; a loop is encoded as (v, v) and contributes 2
     to the degree of v.  leaves is a tuple of (label, vertex) pairs sorted by
-    label; labels are 1..n.
+    label; labels are 1..n.  Construction checks all of this, so every
+    MarkedGraph is valid.
     """
 
     vertices: tuple
     edges: tuple
     leaves: tuple
+
+    def __post_init__(self):
+        if not self.vertices:
+            raise Disconnected("empty graph")
+        vset = set(self.vertices)
+        if len(vset) != len(self.vertices):
+            raise BadLeafLabels("duplicate vertex identifiers")
+        for a, b in self.edges:
+            if a not in vset or b not in vset:
+                raise BadLeafLabels(f"edge ({a!r},{b!r}) uses unknown vertex")
+
+        labels = [k for k, _ in self.leaves]
+        if labels != list(range(1, len(labels) + 1)):
+            raise BadLeafLabels(f"labels {labels} are not 1..n")
+        lmap = dict(self.leaves)
+        if len(set(lmap.values())) != len(lmap):
+            raise BadLeafLabels("a vertex carries two leaf labels")
+
+        deg1 = {v for v in self.vertices if self.degree(v) == 1}
+        if set(lmap.values()) != deg1:
+            raise BadLeafLabels(
+                f"labels cover {sorted(map(str, lmap.values()))}, degree-1 "
+                f"vertices are {sorted(map(str, deg1))}"
+            )
+        for v in self.vertices:
+            if v not in deg1 and self.degree(v) != 3:
+                raise NonTrivalent(f"vertex {v!r} has degree {self.degree(v)}")
+
+        if not _connected(self.vertices, self.edges):
+            raise Disconnected("graph is not connected")
 
     @property
     def leaf_map(self):
@@ -97,50 +128,16 @@ class MarkedGraph:
 
 
 def validate(raw):
-    """Check a raw graph description and return a MarkedGraph.
-
-    Accepts a MarkedGraph, or a dict with keys "vertices", "edges", "leaves"
-    (the JSON interchange shape; leaf labels may be strings).
+    """The MarkedGraph `raw` describes: a MarkedGraph, returned as it is, or
+    a dict with keys "vertices", "edges", "leaves" (the JSON interchange
+    shape; leaf labels may be strings), checked as it is built.
     """
     if isinstance(raw, MarkedGraph):
-        g = raw
-    else:
-        vertices = tuple(raw["vertices"])
-        edges = tuple(tuple(e) for e in raw["edges"])
-        leaves = tuple(sorted((int(k), v) for k, v in dict(raw["leaves"]).items()))
-        g = MarkedGraph(vertices, edges, leaves)
-
-    if not g.vertices:
-        raise Disconnected("empty graph")
-    vset = set(g.vertices)
-    if len(vset) != len(g.vertices):
-        raise BadLeafLabels("duplicate vertex identifiers")
-    for a, b in g.edges:
-        if a not in vset or b not in vset:
-            raise BadLeafLabels(f"edge ({a!r},{b!r}) uses unknown vertex")
-
-    labels = [k for k, _ in g.leaves]
-    if labels != list(range(1, len(labels) + 1)):
-        raise BadLeafLabels(f"labels {labels} are not 1..n")
-    lmap = dict(g.leaves)
-    if len(set(lmap.values())) != len(lmap):
-        raise BadLeafLabels("a vertex carries two leaf labels")
-
-    deg1 = {v for v in g.vertices if g.degree(v) == 1}
-    if set(lmap.values()) != deg1:
-        raise BadLeafLabels(
-            f"labels cover {sorted(map(str, lmap.values()))}, degree-1 "
-            f"vertices are {sorted(map(str, deg1))}"
-        )
-    for v in g.vertices:
-        if v in deg1:
-            continue
-        if g.degree(v) != 3:
-            raise NonTrivalent(f"vertex {v!r} has degree {g.degree(v)}")
-
-    if not _connected(g.vertices, g.edges):
-        raise Disconnected("graph is not connected")
-    return g
+        return raw
+    return MarkedGraph(
+        tuple(raw["vertices"]),
+        tuple(tuple(e) for e in raw["edges"]),
+        tuple(sorted((int(k), v) for k, v in dict(raw["leaves"]).items())))
 
 
 def _connected(vertices, edges):
@@ -483,7 +480,7 @@ def caterpillar_tree(n):
     if n < 2:
         raise BadLeafLabels("need at least 2 leaves")
     if n == 2:
-        return validate(MarkedGraph(("l1", "l2"), (("l1", "l2"),), ((1, "l1"), (2, "l2"))))
+        return MarkedGraph(("l1", "l2"), (("l1", "l2"),), ((1, "l1"), (2, "l2")))
     spine = [f"v{i}" for i in range(1, n - 1)]
     edges = [(spine[i], spine[i + 1]) for i in range(len(spine) - 1)]
     leaves = []
@@ -504,7 +501,7 @@ def caterpillar_tree(n):
         add_leaf(spine[-1])
     else:
         add_leaf(spine[0])
-    return validate(MarkedGraph(tuple(spine) + tuple(leafv), tuple(edges), tuple(leaves)))
+    return MarkedGraph(tuple(spine) + tuple(leafv), tuple(edges), tuple(leaves))
 
 
 def add_loop_at_leaf(g, label):
@@ -515,7 +512,7 @@ def add_loop_at_leaf(g, label):
     edges = list(g.edges) + [(v, v)]
     leaves = [(lab, w) for lab, w in g.leaves if lab != label]
     leaves = tuple((i + 1, w) for i, (_, w) in enumerate(sorted(leaves)))
-    return validate(MarkedGraph(g.vertices, tuple(edges), leaves))
+    return MarkedGraph(g.vertices, tuple(edges), leaves)
 
 
 def double_edge_at(g, edge_index):
@@ -526,7 +523,7 @@ def double_edge_at(g, edge_index):
     m1, m2 = f"d{edge_index}a", f"d{edge_index}b"
     edges = [e for i, e in enumerate(g.edges) if i != edge_index]
     edges += [(a, m1), (m1, m2), (m1, m2), (m2, b)]
-    return validate(MarkedGraph(g.vertices + (m1, m2), tuple(edges), g.leaves))
+    return MarkedGraph(g.vertices + (m1, m2), tuple(edges), g.leaves)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -571,7 +568,7 @@ def enumerate_graphs(genus, n_leaves, max_vertices=8):
             if key not in seen:
                 seen.add(key)
                 edges = combo + tuple((v, f"leaf{k}") for k, v in enumerate(assign, 1))
-                out.append(validate(MarkedGraph(verts, edges, leaves)))
+                out.append(MarkedGraph(verts, edges, leaves))
     return out
 
 

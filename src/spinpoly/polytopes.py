@@ -396,12 +396,6 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
 # -- building blocks -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockKind:
-    name: str  # interval | p3 | p3_fixed1 | p3_fixed2 | loop_b | loop_b2
-    params: tuple
-
-
 def interval(L):
     if L < 0:
         raise InvalidParams("L must be nonnegative")
@@ -634,30 +628,26 @@ def fiber_product(P1, f1, P2, f2):
 # -- assembly ------------------------------------------------------------
 
 
-def recognize_block(frag, L):
-    """Best-effort naming of a fragment as a building-block kind."""
+def recognize_block(frag):
+    """The building block a fragment is, by name (loop_b2 | loop_b | p3 |
+    p3_fixed1 | p3_fixed2), or "fragment" when it is none of them."""
     loops = [i for i, (a, b) in enumerate(frag.edges) if a == b]
     pairs = _doubled_pairs(frag)
     internal = frag.internal_vertices
-    n_leaf, n_stub = len(frag.leaves), len(frag.stub_edges)
+    n_leaf = len(frag.leaves)
     if pairs and len(internal) == 2 and len(frag.edges) == 4:
-        return BlockKind("loop_b2", (L,))
+        return "loop_b2"
     if loops and len(internal) == 1 and len(frag.edges) == 2:
-        return BlockKind("loop_b", (L,))
-    if len(internal) == 1 and len(frag.edges) == 3 and not loops:
-        if n_leaf == 0:
-            return BlockKind("p3", (L,))
-        if n_leaf == 1:
-            return BlockKind("p3_fixed1", (None, L))
-        if n_leaf == 2:
-            return BlockKind("p3_fixed2", (None, None, L))
-    return None
+        return "loop_b"
+    if len(internal) == 1 and len(frag.edges) == 3 and not loops and n_leaf < 3:
+        return ("p3", "p3_fixed1", "p3_fixed2")[n_leaf]
+    return "fragment"
 
 
 @dataclass(frozen=True)
 class Assembly:
     polytope: GradedPolytope
-    components: tuple  # (fragment, BlockKind or None, GradedPolytope)
+    components: tuple  # (fragment, recognize_block name, GradedPolytope)
     steps: tuple       # readable fold description
     coord_map: tuple   # per final coordinate: (component, local edge, original edge)
     fiber_products: tuple  # the intermediate FiberProduct records
@@ -676,7 +666,7 @@ def assemble(eg, r, L, even_interior=False):
     comps = []
     for frag in eg.components:
         P = fragment_polytope(frag, r_map, L, even_stubs=even_interior)
-        comps.append((frag, recognize_block(frag, L), P))
+        comps.append((frag, recognize_block(frag), P))
 
     # order components along the split-edge tree, root = component 0
     n = len(eg.components)
@@ -707,7 +697,7 @@ def assemble(eg, r, L, even_interior=False):
         placed_coord[(0, i)] = i
         coord_map.append((0, i, frag0.original_edges[i]))
     acc = comps[0][2]
-    steps = [f"component0:{comps[0][1].name if comps[0][1] else 'fragment'}"]
+    steps = [f"component0:{comps[0][1]}"]
     fps = []
     for c in order[1:]:
         rec, ca, ea, cb, eb = attach[c]
@@ -722,9 +712,7 @@ def assemble(eg, r, L, even_interior=False):
             coord_map.append((c, i, frag.original_edges[i]))
         acc = fp.polytope
         fps.append(fp)
-        steps.append(
-            f"x_[0,{L}] component{c}:"
-            f"{comps[c][1].name if comps[c][1] else 'fragment'}")
+        steps.append(f"x_[0,{L}] component{c}:{comps[c][1]}")
     return Assembly(acc, tuple(comps), tuple(steps), tuple(coord_map), tuple(fps))
 
 

@@ -360,26 +360,31 @@ def _jsonable(x):
 
 
 def verify_theorem(name, graph=None, r=None, level=None, genus=None,
-                   leaves=None, nmax=3, dmax=4, move_max=3):
+                   leaves=None, nmax=3, dmax=4):
     """Run one of the paper-scale verifications and emit a certificate.
+    `level` is the SL2 level L of P(graph, r, L): each trinode sum <= 2L.
 
-    polypres: tree-like + compatible + even level >= 4: normal and relations
-      in degree <= 3.
-    polyquad: caterpillar + even r + even level: quadratic square-free GB
-      under the assembled concatenation order.
-    invariance: Hilbert tables, by `hilbert_by_fusion`, agree across all
-      graphs with (genus, leaves); a family whose polytopes have no
-      degree-1 point is refused.
-    d2bp: caterpillar tree + even r: the assembly is a fiber product of
-      <= 2-dimensional balanced blocks and its GB check passes.
+    polypres, L >= 2: tree-like + compatible: normal and relations in
+      degree <= 3.
+    polyquad, L >= 0: caterpillar + even r: quadratic square-free GB under
+      the assembled concatenation order.
+    invariance, L >= 0: Hilbert tables, by `hilbert_by_fusion`, agree
+      across all graphs with (genus, leaves); a family whose polytopes have
+      no degree-1 point is refused.
+    d2bp, L >= 0: caterpillar tree + even r: the assembly is a fiber
+      product of <= 2-dimensional balanced blocks and its GB check passes.
     """
     t0 = time.perf_counter()
     timings = {}
+    if level is None:
+        raise HypothesisViolated("a level L is required")
+    if level < 0:
+        raise HypothesisViolated(f"level L = {level} must be >= 0")
+    if name == "polypres" and level < 2:
+        raise HypothesisViolated(f"L > 1 required (level L = {level})")
     if name == "invariance":
-        if genus is None or leaves is None or r is None or level is None:
-            raise HypothesisViolated("invariance needs genus, leaves, r, level")
-        if level < 0:
-            raise HypothesisViolated(f"level L = {level} must be >= 0")
+        if genus is None or leaves is None or r is None:
+            raise HypothesisViolated("invariance needs genus, leaves, r")
         gs = enumerate_graphs(genus, leaves)
         if not gs:
             raise HypothesisViolated(f"no graph has genus {genus} and {leaves} leaves")
@@ -406,18 +411,13 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
 
     g = validate(graph)
     r = tuple(r)
-    if name == "polypres" and (level is None or level < 4):
-        raise HypothesisViolated("L > 1 required (level = 2L must be >= 4)")
-    if level is None or level % 2 or level < 0:
-        raise HypothesisViolated("an even level 2L is required")
-    L = level // 2
 
     if name == "polypres":
         if not _is_tree_like(g):
             raise HypothesisViolated("graph is not tree-like")
         if not is_compatible(g, r):
             raise HypothesisViolated("weights are not compatible with the graph")
-        P = from_graph(g, r, L)
+        P = from_graph(g, r, level)
         t1 = time.perf_counter()
         norm = is_normal(P, dmax)
         timings["normal"] = time.perf_counter() - t1
@@ -426,7 +426,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         rel = None
         if norm.ok:
             t1 = time.perf_counter()
-            cert = relation_degree(P, move_max, dmax, check_normal=False)
+            cert = relation_degree(P, 3, dmax, check_normal=False)
             timings["relations"] = time.perf_counter() - t1
             rel = cert.relation_degree
             ok = rel is not None and rel <= 3
@@ -438,7 +438,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             "polypres",
             {"graph": g.to_json_dict(), "r": list(r), "level": level,
              "relationDegree": rel},
-            {"dmax": dmax, "moveMax": move_max}, ok, witnesses, timings)
+            {"dmax": dmax, "moveMax": 3}, ok, witnesses, timings)
 
     if name in ("polyquad", "d2bp"):
         cls = classify(g)
@@ -451,7 +451,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             raise HypothesisViolated("all leaf weights must be even")
         from .catp import boxtimes_assemble
 
-        wp, assembly = boxtimes_assemble(g, r, L)
+        wp, assembly = boxtimes_assemble(g, r, level)
         witnesses = []
         ok = True
         if name == "d2bp":
@@ -476,8 +476,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         return Certificate(
             name,
             {"graph": g.to_json_dict(), "r": list(r), "level": level,
-             "components": [k.name if k else "fragment"
-                            for _, k, _ in assembly.components]},
+             "components": [k for _, k, _ in assembly.components]},
             {"dmax": dmax}, ok, witnesses, timings)
 
     raise HypothesisViolated(f"unknown theorem {name!r}")

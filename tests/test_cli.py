@@ -4,7 +4,7 @@ import json
 import pytest
 
 from spinpoly import graphs
-from spinpoly.cli import main, run
+from spinpoly.cli import _build_parser, main, run
 from spinpoly.polytopes import from_graph
 
 
@@ -194,6 +194,32 @@ def test_verify_polypres_bad_level_exit_2(t4_path, capsys):
                 "--r", "2,2,2,2", "--level", "1"]) == 2
     err = capsys.readouterr().err
     assert "L > 1" in err
+
+
+def test_verify_polyquad_odd_level_counterexample_exit_1(tmp_path, capsys):
+    p = tmp_path / "cat6.json"
+    p.write_text(json.dumps(graphs.caterpillar_tree(6).to_json_dict()))
+    assert run(["verify", "--theorem", "polyquad", "--graph", str(p),
+                "--r", "2,2,2,2,2,2", "--level", "3"]) == 1
+    rep = out_json(capsys)
+    assert rep["instance"]["level"] == 3
+    assert rep["witnesses"][0]["standard_count"] == 14
+
+
+def test_verify_move_max_rejected(loopy_path, capsys):
+    # polypres bounds relations by the theorem's fixed degree 3
+    assert run(["verify", "--theorem", "polypres", "--graph", loopy_path,
+                "--r", "2,2", "--level", "2", "--move-max", "1"]) == 2
+    capsys.readouterr()
+
+
+def test_level_help_is_the_same_everywhere():
+    subparsers = _build_parser()._subparsers._group_actions[0].choices
+    helps = {name: a.help for name, sp in subparsers.items()
+             for a in sp._actions if "--level" in a.option_strings}
+    assert set(helps) == {"points", "hilbert", "normal", "relations",
+                          "gb-check", "balanced", "blocks", "verify"}
+    assert len(set(helps.values())) == 1 and "2L" in helps["verify"]
 
 
 def test_graphs_command(capsys):

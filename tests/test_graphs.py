@@ -77,6 +77,14 @@ def test_validate_rejects_bad_labels():
         graphs.validate(g)
 
 
+def test_marked_graph_is_valid_by_construction():
+    with pytest.raises(NonTrivalent):
+        graphs.MarkedGraph(("a", "l1", "l2"), (("a", "l1"), ("a", "l2")),
+                           ((1, "l1"), (2, "l2")))
+    g = graphs.caterpillar_tree(4)
+    assert graphs.validate(g) is g
+
+
 def test_json_roundtrip():
     g = graphs.caterpillar_tree(5)
     again = graphs.graph_from_json(json.dumps(g.to_json_dict()))

@@ -394,7 +394,7 @@ def test_even_interior_maps_are_integral_on_cycles(L):
 def test_recognize_blocks():
     g = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     eg = graphs.explode(g)
-    kinds = sorted(recognize_block(f, 2).name for f in eg.components)
+    kinds = sorted(recognize_block(f) for f in eg.components)
     assert kinds == ["loop_b", "p3_fixed2"]
 
     t4 = graphs.caterpillar_tree(4)
@@ -402,8 +402,12 @@ def test_recognize_blocks():
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dg = graphs.double_edge_at(t4, internal[0])
     eg = graphs.explode(dg)
-    kinds = sorted(recognize_block(f, 2).name for f in eg.components)
+    kinds = sorted(recognize_block(f) for f in eg.components)
     assert kinds == ["loop_b2", "p3_fixed2", "p3_fixed2"]
+
+    # a doubled pair beside a triangle is no block
+    eg = graphs.explode(graphs.enumerate_graphs(2, 1)[2])
+    assert [recognize_block(f) for f in eg.components] == ["fragment"]
 
 
 def test_hilbert_invariance_g0_n4():

@@ -340,6 +340,8 @@ def test_gb_count_mismatch_on_odd_level_caterpillar():
 
 
 def polypres_instances():
+    """Criterion 2's tree-like instances, each with the degree it is checked
+    to; all are checked at L=2."""
     loopy = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     return [
         (graphs.caterpillar_tree(3), (2, 2, 2), 4),
@@ -350,10 +352,11 @@ def polypres_instances():
     ]
 
 
-@pytest.mark.parametrize("g,r,level", polypres_instances())
-def test_polypres(g, r, level):
-    cert = verify_theorem("polypres", graph=g, r=r, level=level)
+@pytest.mark.parametrize("g,r,dmax", polypres_instances())
+def test_polypres(g, r, dmax):
+    cert = verify_theorem("polypres", graph=g, r=r, level=2, dmax=dmax)
     assert cert.result
+    assert cert.bounds == {"dmax": dmax, "moveMax": 3}
     assert cert.instance["relationDegree"] <= 3
 
 
@@ -366,7 +369,7 @@ def test_polypres_rejects_level_one():
 def test_polypres_rejects_incompatible():
     with pytest.raises(HypothesisViolated):
         verify_theorem("polypres", graph=graphs.caterpillar_tree(4),
-                       r=(1, 2, 1, 2), level=4)
+                       r=(1, 2, 1, 2), level=2)
 
 
 def test_polyquad_instances():
@@ -376,14 +379,39 @@ def test_polyquad_instances():
     dg = graphs.double_edge_at(t4, internal[0])
     loopy = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     for g, r in [(t4, (2, 2, 2, 2)), (dg, (2, 2, 2, 2)), (loopy, (2, 2))]:
-        cert = verify_theorem("polyquad", graph=g, r=r, level=4, dmax=3)
+        cert = verify_theorem("polyquad", graph=g, r=r, level=2, dmax=3)
         assert cert.result, cert.witnesses
 
 
 def test_polyquad_rejects_odd_weights():
     with pytest.raises(HypothesisViolated):
         verify_theorem("polyquad", graph=graphs.caterpillar_tree(4),
-                       r=(1, 1, 2, 2), level=4)
+                       r=(1, 1, 2, 2), level=2)
+
+
+@pytest.mark.parametrize("L,detail", [
+    (2, None), (4, None),
+    (3, {"reason": "count mismatch", "degree": 2, "standard_count": 14,
+         "hilbert": 15}),
+    (5, {"reason": "count mismatch", "degree": 2, "standard_count": 60,
+         "hilbert": 61})])
+def test_polyquad_caterpillar6_odd_level_counterexamples(L, detail):
+    # inside polyquad's hypotheses, yet the degree-2 GB count falls one
+    # short at odd L: recorded counterexamples, not refusals
+    cert = verify_theorem("polyquad", graph=graphs.caterpillar_tree(6),
+                          r=(2,) * 6, level=L)
+    assert cert.result is (detail is None)
+    assert cert.witnesses == ([] if detail is None else [detail])
+
+
+@pytest.mark.parametrize("g,r,L,witness", [
+    (graphs.enumerate_graphs(2, 1)[1], (0,), 3, (2, (3, 6, 6, 3, 0))),
+    (graphs.enumerate_graphs(0, 6)[0], (1,) * 6, 2, (2, (2,) * 9))])
+def test_polypres_not_normal_counterexamples(g, r, L, witness):
+    cert = verify_theorem("polypres", graph=g, r=r, level=L)
+    assert not cert.result
+    assert cert.witnesses == [witness]
+    assert cert.instance["relationDegree"] is None
 
 
 def test_invariance():
@@ -397,14 +425,14 @@ def test_invariance():
 
 def test_d2bp():
     cert = verify_theorem("d2bp", graph=graphs.caterpillar_tree(4),
-                          r=(2, 2, 2, 2), level=4, dmax=3)
+                          r=(2, 2, 2, 2), level=2, dmax=3)
     assert cert.result
 
 
 def test_d2bp_rejects_caterpillar_graph():
     g = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     with pytest.raises(HypothesisViolated):
-        verify_theorem("d2bp", graph=g, r=(2, 2), level=4)
+        verify_theorem("d2bp", graph=g, r=(2, 2), level=2)
 
 
 def test_certificate_json():
