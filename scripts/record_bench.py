@@ -4,6 +4,7 @@
     python3 scripts/record_bench.py record --label 15 [--checkout DIR]
         [--workloads certify invariance dilate] [--seeds 1-10]
     python3 scripts/record_bench.py compare BENCH_14.json BENCH_15.json
+    python3 scripts/record_bench.py guard [--seconds 10]
 
 `record` runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 in the checkout (default: this one), T being the checkout's BENCHMARK.json
@@ -14,7 +15,11 @@ last stdout line).  A file already holding runs of the same tree and command
 is extended, so two checkouts can be recorded in alternation, one seed at a
 time.  `compare` prints, per workload and metric, the medians over seeds of
 both files with their quartiles, and the number of seeds on which the second
-file reads lower (better).
+file reads lower (better).  `guard` runs `perfbench/run.py --workload W
+--seed 1 --seconds T --trace X` in this checkout for every workload of its
+BENCHMARK.json and X in {0, 1}, and exits 1 unless every run's result line
+parses with NaN and Infinity rejected, reads `correct` true and `failed` 0,
+and marks no metric absent.
 """
 
 import argparse
@@ -30,6 +35,28 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in a result line")
+
+
+def check_result_line(line):
+    """What is wrong with a run's result line, as a list of messages (empty
+    if nothing): it must be a JSON object, with no NaN or Infinity, that
+    reads `correct` true and `failed` 0 and marks no metric `absent`."""
+    try:
+        result = json.loads(line, parse_constant=_reject_constant)
+    except ValueError as e:
+        return [f"result line does not parse: {e}"]
+    if not isinstance(result, dict):
+        return ["result line is not a JSON object"]
+    problems = []
+    if result.get("correct") is not True:
+        problems.append(f"correct is {result.get('correct')}")
+    if result.get("failed") != 0:
+        problems.append(f"failed is {result.get('failed')}")
+    absent = [name for name, m in result.get("metrics", {}).items()
+              if m.get("absent")]
+    if absent:
+        problems.append(f"absent metrics: {', '.join(absent)}")
+    return problems
 
 
 def _git(checkout, *args):
@@ -110,6 +137,28 @@ def compare(args):
                   f"better in {better}/{len(seeds)}")
 
 
+def guard(args):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    failed = 0
+    for workload in (w["name"] for w in bench["workloads"]):
+        for trace in (0, 1):
+            proc = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", workload,
+                 "--seed", "1", "--seconds", str(args.seconds),
+                 "--trace", str(trace)],
+                cwd=ROOT, capture_output=True, text=True)
+            lines = proc.stdout.strip().splitlines()
+            problems = check_result_line(lines[-1]) if lines else \
+                ["no stdout"]
+            if proc.returncode != 0:
+                problems.insert(0, f"exited {proc.returncode}: "
+                                   f"{proc.stderr[-500:]}")
+            print(f"{workload} trace {trace}: "
+                  f"{'; '.join(problems) or 'ok'}")
+            failed += bool(problems)
+    return 1 if failed else 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -121,12 +170,17 @@ def main(argv=None):
     rec.add_argument("--seeds", default="1-10")
     cmp_ = sub.add_parser("compare")
     cmp_.add_argument("files", nargs=2)
+    grd = sub.add_parser("guard")
+    grd.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
     if args.cmd == "record":
         record(args)
-    else:
+    elif args.cmd == "compare":
         compare(args)
+    else:
+        return guard(args)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

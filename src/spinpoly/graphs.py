@@ -296,10 +296,6 @@ def classify(g):
 # -- compatibility ------------------------------------------------------------
 
 
-def odd_leaf_count_is_even(r):
-    return sum(1 for x in r if x % 2) % 2 == 0
-
-
 def is_compatible(g, r):
     """True iff every odd-weighted leaf shares its trinode with another
     odd-weighted leaf."""

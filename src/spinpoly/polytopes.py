@@ -78,14 +78,6 @@ class GradedPolytope:
             return tuple(point)
         return self.to_lattice.apply(point)
 
-    def to_json_dict(self):
-        return {
-            "dim": self.dim,
-            "inequalities": [[list(row), rhs] for row, rhs in self.inequalities],
-            "equalities": [[list(row), rhs] for row, rhs in self.equalities],
-            "paritySets": [list(s) for s in self.lattice.parity_sets],
-        }
-
 
 # -- lattice point enumeration -------------------------------------------
 
@@ -433,7 +425,7 @@ def p3(L, even_edges=False):
                           ("w1", "w2", "w3"), trans)
 
 
-def p3_fixed1(r, L, even_edges=False):
+def p3_fixed1(r, L):
     """Trinode with first edge pinned to r."""
     if r < 0 or L < 0 or r > 2 * L:
         raise InvalidParams(f"need 0 <= r <= 2L, got r={r}, L={L}")
@@ -441,12 +433,7 @@ def p3_fixed1(r, L, even_edges=False):
     eqs = ((_unit(3, 0), r),)
     psets = [base.lattice.parity_sets[0]]
     trans = None
-    if even_edges:
-        if r % 2:
-            raise InvalidParams("even_edges requires even r")
-        psets += [(1,), (2,)]
-        trans = _HALVE3
-    elif r % 2 == 0:
+    if r % 2 == 0:
         # lattice {w2 + w3 even}: basis ((w2+w3)/2, (w2-w3)/2), w1 pinned
         trans = LatticeMap(((1, 0, 0), (0, 1, 1), (0, 1, -1)), 2)
     return GradedPolytope(3, base.inequalities, eqs,

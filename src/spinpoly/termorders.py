@@ -90,38 +90,34 @@ class TermWeight:
 class TotalOrder(TermWeight):
     """TermWeight completed by a total point key.
 
-    point_key(p) starts with the weight and appends the declared tie-break
-    coordinates; monomial_key(m) = (degree, total weight, point keys sorted
-    in decreasing order), compared lexicographically.
+    entry(p) = (weight, point key), the key holding the declared tie-breaks;
+    monomial_key(m) = (degree, total weight, point keys sorted in decreasing
+    order), compared lexicographically.
 
-    Each order keeps its own point table: a point's weight and key are
-    computed on first use and then looked up, so the lattice transform and
-    the factor orders of a boxtimes order run once per point."""
+    Each order keeps one point table: a point's entry is computed on first
+    use and then looked up, so the lattice transform and the factor orders
+    of a boxtimes order run once per point."""
 
-    def __init__(self, fn, key_fn, kind="total"):
-        super().__init__(fn, kind)
-        self._key = key_fn
-        self._weights = {}
-        self._keys = {}
+    def __init__(self, entry, kind="total"):
+        self.kind = kind
+        self._entry = entry
+        self._table = {}
+
+    def entry(self, point):
+        e = self._table.get(point)
+        if e is None:
+            e = self._table[point] = self._entry(point)
+        return e
 
     def weight(self, point):
-        w = self._weights.get(point)
-        if w is None:
-            w = self._weights[point] = self._fn(point)
-        return w
+        return self.entry(point)[0]
 
     def point_key(self, point):
-        k = self._keys.get(point)
-        if k is None:
-            k = self._keys[point] = self._key(point)
-        return k
+        return self.entry(point)[1]
 
     def monomial_key(self, m):
-        return (
-            len(m),
-            self.monomial_weight(m),
-            tuple(sorted(map(self.point_key, m), reverse=True)),
-        )
+        weights, keys = zip(*map(self.entry, m))
+        return (len(m), sum(weights), tuple(sorted(keys, reverse=True)))
 
 
 def sigma2_lex_order(transform=None):
@@ -131,14 +127,12 @@ def sigma2_lex_order(transform=None):
     [1,1] > [1,0] > [0,1] > [0,0]."""
     t = transform or tuple
 
-    def key(p):
+    def entry(p):
         q = tuple(t(p))
-        return (sigma_squared(q), q)
+        s = sigma_squared(q)
+        return s, (s, q)
 
-    def w(p):
-        return sigma_squared(t(p))
-
-    return TotalOrder(w, key, "sigma2-lex")
+    return TotalOrder(entry, "sigma2-lex")
 
 
 def b2_cascade_order(transform=None):
@@ -146,14 +140,12 @@ def b2_cascade_order(transform=None):
     B, then z, then x, then A."""
     t = transform or tuple
 
-    def key(p):
+    def entry(p):
         x, z, A, B = t(p)
-        return (sigma_squared((x, z, A, B)), B, z, x, A)
+        s = sigma_squared((x, z, A, B))
+        return s, (s, B, z, x, A)
 
-    def w(p):
-        return sigma_squared(t(p))
-
-    return TotalOrder(w, key, "b2-cascade")
+    return TotalOrder(entry, "b2-cascade")
 
 
 def boxtimes_order(o1, o2, split):
@@ -163,13 +155,11 @@ def boxtimes_order(o1, o2, split):
     if not isinstance(o1, TotalOrder) or not isinstance(o2, TotalOrder):
         raise NotTotal("boxtimes needs total component orders")
 
-    def w(p):
-        return o1.weight(p[:split]) + o2.weight(p[split:])
+    def entry(p):
+        (w1, k1), (w2, k2) = o1.entry(p[:split]), o2.entry(p[split:])
+        return w1 + w2, (k1, k2)
 
-    def key(p):
-        return (o1.point_key(p[:split]), o2.point_key(p[split:]))
-
-    return TotalOrder(w, key, "boxtimes")
+    return TotalOrder(entry, "boxtimes")
 
 
 # -- fibers and standard monomials ---------------------------------------

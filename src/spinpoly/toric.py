@@ -2,8 +2,6 @@
 ideal generation via fiber-graph connectivity, and quadratic square-free
 Groebner bases checked by standard-monomial counting."""
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -185,20 +183,9 @@ def degree_two_relations(P, order):
 
 @dataclass
 class GenerationCertificate:
-    polytope_id: str
-    normal_degree_checked: int
     relation_degree: int  # least d making all fibers connected; None if > bound
-    move_degree_max: int
-    dmax: int
     witnesses: tuple = ()  # (N, b, required degree) for the tightest fibers
     minimal_relations: dict = field(default_factory=dict)  # N -> generators
-
-
-def _polytope_id(P):
-    """Content hash of the polytope's inequalities, equalities and parity
-    sets; r and L enter through the right-hand sides."""
-    blob = json.dumps(P.to_json_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _lifted_spanning_tree(fiber, b, lower, N):
@@ -239,20 +226,26 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     connected by exchanges of sub-multisets of size <= d.  A fiber's least d
     is the heaviest edge of its lifted spanning tree; its weight-N edges, one
     per extra component of monomials linked by shared points, count the
-    degree-N minimal generators (Diaconis-Sturmfels 1998)."""
-    if check_normal:
-        chk = is_normal(P, Dmax)
-        if not chk.ok:
-            raise NormalityPrerequisiteFailed(f"not normal: witness {chk.witness}")
+    degree-N minimal generators (Diaconis-Sturmfels 1998).
+
+    Normality, the prerequisite, is read from the same fibers: their images
+    are the N-fold sums of degree-1 points, so the first point of NP that is
+    not an image is the witness `is_normal` reports."""
     overall = 1
     tight = []
     failed = []
     minimal = {}
     trees = {}
     for N in range(2, Dmax + 1):
+        fibers = monomials_by_image(P, N)
+        if check_normal:
+            gap = next((b for b in P.lattice_points(N) if b not in fibers), None)
+            if gap is not None:
+                raise NormalityPrerequisiteFailed(
+                    f"not normal: witness {(N, gap)}")
         lower, trees = trees, {}
         minimal[N] = 0
-        for b, fiber in monomials_by_image(P, N).items():
+        for b, fiber in fibers.items():
             if len(fiber) <= 1:
                 continue
             tree = _lifted_spanning_tree(fiber, b, lower, N)
@@ -269,8 +262,7 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
                 tight.append((N, b, d))
     if failed:
         overall, tight = None, failed[:5]
-    return GenerationCertificate(_polytope_id(P), Dmax, overall,
-                                 move_degree_max, Dmax, tuple(tight), minimal)
+    return GenerationCertificate(overall, tuple(tight), minimal)
 
 
 def quadratic_squarefree_gb(P, order, Dmax):

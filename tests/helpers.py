@@ -20,7 +20,7 @@ from spinpoly.polytopes import (
     quadrant,
 )
 from spinpoly.termorders import monomials_by_image
-from spinpoly.toric import GenerationCertificate, _polytope_id
+from spinpoly.toric import GenerationCertificate
 
 
 def naive_points(P, N, radius=None):
@@ -245,8 +245,7 @@ def naive_relation_degree(P, move_degree_max, Dmax):
                 tight.append((N, b, d))
     if failed:
         overall, tight = None, failed[:5]
-    return GenerationCertificate(_polytope_id(P), Dmax, overall,
-                                 move_degree_max, Dmax, tuple(tight), minimal)
+    return GenerationCertificate(overall, tuple(tight), minimal)
 
 
 def naive_is_flag(P, order, D):

@@ -145,12 +145,6 @@ def test_compatibility():
         graphs.is_compatible(t4, (1, 1))
 
 
-def test_odd_leaf_count():
-    assert graphs.odd_leaf_count_is_even((1, 3, 2, 2))
-    assert not graphs.odd_leaf_count_is_even((1, 2, 2))
-    assert graphs.odd_leaf_count_is_even(())
-
-
 def test_explode_four_leaf_tree():
     eg = graphs.explode(graphs.caterpillar_tree(4))
     assert len(eg.components) == 2

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -206,8 +207,7 @@ def test_initial_complex_faces_match_networkx_cliques():
 
 def _scrambled_interval_order():
     scramble = {(0,): 5, (1,): 0, (2,): 4, (3,): 1}
-    return TotalOrder(lambda p: scramble[tuple(p)],
-                      lambda p: (scramble[tuple(p)], tuple(p)))
+    return TotalOrder(lambda p: (scramble[p], (scramble[p], p)))
 
 
 def test_is_flag_matches_divisor_reference():
@@ -220,8 +220,8 @@ def test_is_flag_matches_divisor_reference():
         for _ in range(10):
             w = {p: rng.randint(0, 3) for p in P.lattice_points(1)}
             rank = {p: rng.random() for p in P.lattice_points(1)}
-            order = TotalOrder(w.__getitem__, lambda p, w=w, rank=rank:
-                               (w[p], rank[p]))
+            order = TotalOrder(lambda p, w=w, rank=rank:
+                               (w[p], (w[p], rank[p])))
             cases.append((P, order, 3))
     verdicts = []
     for P, order, D in cases:
@@ -388,14 +388,35 @@ def test_point_table_keys_match_fresh_order(monkeypatch):
     # each order has its own table
     assert sigma2_lex_order().point_key((1, 0, 0, 0)) == (1, (1, 0, 0, 0))
     assert b2_cascade_order().point_key((1, 0, 0, 0)) == (1, 0, 0, 1, 0)
-    # a fresh order that recomputes every weight and key on each call, at
-    # each level of the nesting; its monomial keys are assembled from its
-    # point values by the documented rule
-    monkeypatch.setattr(TotalOrder, "weight", lambda self, p: self._fn(p))
-    monkeypatch.setattr(TotalOrder, "point_key", lambda self, p: self._key(p))
+    # a fresh order that recomputes every entry on each call, at each level
+    # of the nesting; its monomial keys are assembled from its point values
+    # by the documented rule
+    monkeypatch.setattr(TotalOrder, "entry", lambda self, p: self._entry(p))
     fresh, _ = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
     w = {p: fresh.order.weight(p) for p in wp.polytope.lattice_points(1)}
     k = {p: fresh.order.point_key(p) for p in wp.polytope.lattice_points(1)}
     expected = [(2, w[p] + w[q], tuple(sorted((k[p], k[q]), reverse=True)))
                 for p, q in monos]
     assert memo == filled == expected
+
+
+def test_boxtimes_keys_run_each_transform_once_per_point():
+    # one table per order: a point's weight and key come from one entry, so
+    # each factor's lattice transform runs once per distinct point
+    A, B = loop_b2(1), p3_fixed2(2, 2, 2)
+    calls = (Counter(), Counter())
+
+    def counting(P, count):
+        def transform(p):
+            count[p] += 1
+            return P.transform_point(p)
+        return transform
+
+    order = boxtimes_order(b2_cascade_order(counting(A, calls[0])),
+                           sigma2_lex_order(counting(B, calls[1])), 4)
+    pts = [p + q for p in A.lattice_points(1) for q in B.lattice_points(1)]
+    for m in combinations_with_replacement(pts, 2):
+        order.monomial_key(m)
+    for P, count in zip((A, B), calls):
+        assert sorted(count) == list(P.lattice_points(1))
+        assert set(count.values()) == {1}

@@ -226,21 +226,43 @@ def test_relation_degree_requires_normality():
         relation_degree(with_full_lattice(p3(1)), 3, 4)
 
 
+@pytest.mark.parametrize("P, D", [
+    (lambda: with_full_lattice(p3(1)), 4),
+    (lambda: from_graph(graphs.enumerate_graphs(2, 1)[1], (0,), 3), 3),
+    (lambda: from_graph(graphs.enumerate_graphs(0, 6)[0], (1,) * 6, 2), 3),
+])
+def test_relation_degree_normality_witness_is_is_normals(P, D):
+    # the prerequisite is read from relation_degree's own fibers, and names
+    # the same (N, point) as is_normal's sumset pass
+    P = P()
+    chk = is_normal(P, D)
+    assert not chk.ok
+    with pytest.raises(NormalityPrerequisiteFailed) as exc:
+        relation_degree(P, 3, D)
+    assert str(exc.value) == f"not normal: witness {chk.witness}"
+
+
+def test_relation_degree_is_top_minimal_relation_degree():
+    # the least generating degree is the highest degree holding a minimal
+    # relation (1 when there is none)
+    checked = 0
+    for P in _relation_instances():
+        for move_max in (2, 3, 4):
+            for Dmax in (2, 3, 4):
+                cert = relation_degree(P, move_max, Dmax, check_normal=False)
+                if cert.relation_degree is None:
+                    continue
+                assert cert.relation_degree == max(
+                    {1} | {N for N, k in cert.minimal_relations.items() if k})
+                checked += 1
+    assert checked > 500
+
+
 def test_tree_like_relations_degree_bound():
     g = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     cert = relation_degree(from_graph(g, (2, 2), 2), 3, 4)
     assert cert.relation_degree is not None
     assert cert.relation_degree <= 3
-
-
-def test_relation_certificate_polytope_id_is_content_hash():
-    g = graphs.caterpillar_tree(4)
-
-    def pid(r):
-        return relation_degree(from_graph(g, r, 2), 3, 3).polytope_id
-
-    assert pid((2, 2, 2, 2)) == pid((2, 2, 2, 2))
-    assert pid((2, 2, 2, 2)) != pid((2, 2, 0, 0))
 
 
 def test_degree_two_relations_q1():
