@@ -4,7 +4,7 @@
     python3 scripts/record_bench.py record --label 15 [--checkout DIR]
         [--workloads certify invariance dilate] [--seeds 1-10]
     python3 scripts/record_bench.py compare BENCH_14.json BENCH_15.json
-    python3 scripts/record_bench.py guard [--seconds 10]
+    python3 scripts/record_bench.py guard
 
 `record` runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 in the checkout (default: this one), T being the checkout's BENCHMARK.json
@@ -16,7 +16,7 @@ is extended, so two checkouts can be recorded in alternation, one seed at a
 time.  `compare` prints, per workload and metric, the medians over seeds of
 both files with their quartiles, and the number of seeds on which the second
 file reads lower (better).  `guard` runs `perfbench/run.py --workload W
---seed 1 --seconds T --trace X` in this checkout for every workload of its
+--seed 1 --seconds 10 --trace X` in this checkout for every workload of its
 BENCHMARK.json and X in {0, 1}, and exits 1 unless every run's result line
 parses with NaN and Infinity rejected, reads `correct` true and `failed` 0,
 and marks no metric absent.
@@ -31,6 +31,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GUARD_SECONDS = 10
 
 
 def _reject_constant(name):
@@ -137,14 +138,14 @@ def compare(args):
                   f"better in {better}/{len(seeds)}")
 
 
-def guard(args):
+def guard():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     failed = 0
     for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
             proc = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", workload,
-                 "--seed", "1", "--seconds", str(args.seconds),
+                 "--seed", "1", "--seconds", str(GUARD_SECONDS),
                  "--trace", str(trace)],
                 cwd=ROOT, capture_output=True, text=True)
             lines = proc.stdout.strip().splitlines()
@@ -170,15 +171,14 @@ def main(argv=None):
     rec.add_argument("--seeds", default="1-10")
     cmp_ = sub.add_parser("compare")
     cmp_.add_argument("files", nargs=2)
-    grd = sub.add_parser("guard")
-    grd.add_argument("--seconds", type=float, default=10)
+    sub.add_parser("guard")
     args = ap.parse_args(argv)
     if args.cmd == "record":
         record(args)
     elif args.cmd == "compare":
         compare(args)
     else:
-        return guard(args)
+        return guard()
     return 0
 
 

@@ -70,7 +70,11 @@ class NonTotalComponents(SpinpolyError):
 # -- toric ----------------------------------------------------------------
 
 class NormalityPrerequisiteFailed(SpinpolyError):
-    pass
+    """`witness` is (N, a point of NP that is no sum of N points of P)."""
+
+    def __init__(self, witness):
+        super().__init__(f"not normal: witness {witness}")
+        self.witness = witness
 
 
 class HypothesisViolated(SpinpolyError):

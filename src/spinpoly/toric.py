@@ -241,8 +241,7 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
         if check_normal:
             gap = next((b for b in P.lattice_points(N) if b not in fibers), None)
             if gap is not None:
-                raise NormalityPrerequisiteFailed(
-                    f"not normal: witness {(N, gap)}")
+                raise NormalityPrerequisiteFailed((N, gap))
         lower, trees = trees, {}
         minimal[N] = 0
         for b, fiber in fibers.items():
@@ -411,20 +410,15 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             raise HypothesisViolated("weights are not compatible with the graph")
         P = from_graph(g, r, level)
         t1 = time.perf_counter()
-        norm = is_normal(P, dmax)
-        timings["normal"] = time.perf_counter() - t1
-        witnesses = []
-        ok = norm.ok
-        rel = None
-        if norm.ok:
-            t1 = time.perf_counter()
-            cert = relation_degree(P, 3, dmax, check_normal=False)
-            timings["relations"] = time.perf_counter() - t1
+        try:
+            cert = relation_degree(P, 3, dmax)
+        except NormalityPrerequisiteFailed as e:
+            ok, rel, witnesses = False, None, [e.witness]
+        else:
             rel = cert.relation_degree
             ok = rel is not None and rel <= 3
             witnesses = list(cert.witnesses)
-        else:
-            witnesses = [norm.witness]
+        timings["relations"] = time.perf_counter() - t1
         timings["total"] = time.perf_counter() - t0
         return Certificate(
             "polypres",
