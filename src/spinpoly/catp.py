@@ -10,16 +10,13 @@ from dataclasses import dataclass
 
 from .errors import (
     HypothesisViolated,
-    NonTotalComponents,
     NonUniqueBase,
     NotAPolytopeMap,
-    NotTotal,
 )
 from .graphs import explode, validate
 from .polytopes import assemble, fiber_product
 from .termorders import (
     Check,
-    TotalOrder,
     b2_cascade_order,
     boxtimes_order,
     has_unique_standard_monomials,
@@ -35,7 +32,6 @@ from .termorders import (
 class WeightedPolytope:
     polytope: object
     order: object  # TermWeight or TotalOrder
-    flag_certificate: int = None
 
 
 @dataclass
@@ -194,15 +190,13 @@ def verify_double_weight_equivalence(fp, D):
 
 
 def boxtimes_object(m1, m2, D):
-    """Fiber product carrying the concatenation total order."""
-    o1, o2 = m1.source.order, m2.source.order
-    if not isinstance(o1, TotalOrder) or not isinstance(o2, TotalOrder):
-        raise NonTotalComponents("boxtimes needs total component orders")
+    """Fiber product carrying the concatenation total order; NotTotal unless
+    both component orders are total."""
     base = m1.target
     if not has_unique_standard_monomials(base.polytope, base.order, D):
         raise NonUniqueBase(f"base lacks unique standard monomials to {D}")
     fp = fiber_product(m1.source.polytope, m1.map, m2.source.polytope, m2.map)
-    order = boxtimes_order(o1, o2, fp.offset)
+    order = boxtimes_order(m1.source.order, m2.source.order, fp.offset)
     return WeightedPolytope(fp.polytope, order), fp
 
 

@@ -12,7 +12,7 @@ import sys
 from . import __version__
 from .errors import HypothesisViolated, SpinpolyError
 from .graphs import classify, enumerate_graphs, explode, graph_from_json, validate
-from .polytopes import assemble, from_graph
+from .polytopes import assemble, from_graph, with_full_lattice
 from .termorders import is_balanced
 from .toric import (
     hilbert,
@@ -27,6 +27,13 @@ def _int_list(text):
     if not text:
         return []
     return [int(x) for x in text.split(",")]
+
+
+def _degree_bound(text):
+    d = int(text)
+    if d < 2:
+        raise argparse.ArgumentTypeError(f"degree bound {d} must be >= 2")
+    return d
 
 
 _LEVEL_HELP = "the SL2 level L: each trinode's weight sum is at most 2L"
@@ -48,35 +55,39 @@ def _build_parser():
                             help=_LEVEL_HELP)
         sp.add_argument("--out", help="write the report here instead of stdout")
 
+    def add_lattice_arg(sp):
+        sp.add_argument("--lattice", choices=("parity", "full"),
+                        default="parity", help="full drops the parity sets")
+
     sp = sub.add_parser("points", help="lattice points of a dilation")
     add_graph_args(sp)
     sp.add_argument("--dilation", type=int, default=1)
-    sp.add_argument("--lattice", choices=("parity", "full"), default="parity")
+    add_lattice_arg(sp)
 
     sp = sub.add_parser("hilbert", help="lattice point counts per dilation")
     add_graph_args(sp)
     sp.add_argument("--max-dilation", type=int, default=3)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--lattice", choices=("parity", "full"), default="parity")
+    add_lattice_arg(sp)
 
     sp = sub.add_parser("normal", help="degree-1 generation check")
     add_graph_args(sp)
-    sp.add_argument("--dmax", type=int, default=4)
-    sp.add_argument("--lattice", choices=("parity", "full"), default="parity")
+    sp.add_argument("--dmax", type=_degree_bound, default=4)
+    add_lattice_arg(sp)
 
     sp = sub.add_parser("relations", help="ideal generation degree")
     add_graph_args(sp)
     sp.add_argument("--move-max", type=int, default=3)
-    sp.add_argument("--dmax", type=int, default=4)
+    sp.add_argument("--dmax", type=_degree_bound, default=4)
 
     sp = sub.add_parser("gb-check", help="quadratic square-free GB check "
                         "under the assembled order")
     add_graph_args(sp)
-    sp.add_argument("--dmax", type=int, default=4)
+    sp.add_argument("--dmax", type=_degree_bound, default=4)
 
     sp = sub.add_parser("balanced", help="balancedness of the graph polytope")
     add_graph_args(sp)
-    sp.add_argument("--depth", type=int, default=3)
+    sp.add_argument("--depth", type=_degree_bound, default=3)
 
     sp = sub.add_parser("explode", help="cut all separating edges")
     add_graph_args(sp, need_r=False)
@@ -93,13 +104,12 @@ def _build_parser():
     sp.add_argument("--genus", type=int)
     sp.add_argument("--leaves", type=int)
     sp.add_argument("--max-dilation", type=int, default=3)
-    sp.add_argument("--dmax", type=int, default=4)
+    sp.add_argument("--dmax", type=_degree_bound, default=4)
     sp.add_argument("--out")
 
     sp = sub.add_parser("graphs", help="enumerate trivalent graphs")
     sp.add_argument("--genus", type=int, required=True)
     sp.add_argument("--leaves", type=int, required=True)
-    sp.add_argument("--max-vertices", type=int, default=8)
     sp.add_argument("--out")
 
     return p
@@ -162,8 +172,8 @@ def _dispatch(args):
     cmd = args.command
 
     if cmd == "graphs":
-        gs = enumerate_graphs(args.genus, args.leaves, args.max_vertices)
-        report = _envelope(args, {"maxVertices": args.max_vertices}, {
+        gs = enumerate_graphs(args.genus, args.leaves)
+        report = _envelope(args, {}, {
             "count": len(gs),
             "graphs": [g.to_json_dict() for g in gs],
         })
@@ -203,9 +213,12 @@ def _dispatch(args):
         return 0
 
     r, L = tuple(args.r), args.level
+    if cmd in ("points", "hilbert", "normal", "relations", "balanced"):
+        P = from_graph(g, r, L)
+        if getattr(args, "lattice", "parity") == "full":
+            P = with_full_lattice(P)
 
     if cmd == "points":
-        P = from_graph(g, r, L, lattice=args.lattice)
         pts = P.lattice_points(args.dilation)
         report = _envelope(args, {"dilation": args.dilation}, {
             "count": len(pts),
@@ -215,18 +228,17 @@ def _dispatch(args):
         return 0
 
     if cmd == "hilbert":
-        P = from_graph(g, r, L, lattice=args.lattice)
         table = hilbert(P, args.max_dilation)
         if args.format == "csv":
-            _emit(table.to_csv(), args, fmt="csv")
+            rows = "".join(f"{n},{c}\n" for n, c in enumerate(table))
+            _emit("N,count\n" + rows, args, fmt="csv")
         else:
             report = _envelope(args, {"maxDilation": args.max_dilation},
-                               {"table": list(table.entries)})
+                               {"table": list(table)})
             _emit(report, args)
         return 0
 
     if cmd == "normal":
-        P = from_graph(g, r, L, lattice=args.lattice)
         chk = is_normal(P, args.dmax)
         report = _envelope(args, {"dmax": args.dmax}, {
             "normal": chk.ok,
@@ -237,7 +249,6 @@ def _dispatch(args):
         return 0 if chk.ok else 1
 
     if cmd == "relations":
-        P = from_graph(g, r, L)
         cert = relation_degree(P, args.move_max, args.dmax)
         ok = cert.relation_degree is not None
         report = _envelope(args, {"moveMax": args.move_max,
@@ -264,8 +275,7 @@ def _dispatch(args):
         return 0 if chk.ok else 1
 
     if cmd == "balanced":
-        P = from_graph(g, r, L)
-        chk = is_balanced(P, args.depth, transform=tuple)
+        chk = is_balanced(P, args.depth)
         report = _envelope(args, {"depth": args.depth}, {
             "balanced": chk.ok,
             "witness": [list(p) for p in chk.witness] if not chk.ok else None,

@@ -63,10 +63,6 @@ class NonUniqueBase(SpinpolyError):
     pass
 
 
-class NonTotalComponents(SpinpolyError):
-    pass
-
-
 # -- toric ----------------------------------------------------------------
 
 class NormalityPrerequisiteFailed(SpinpolyError):

@@ -525,7 +525,7 @@ def double_edge_at(g, edge_index):
 # -- enumeration ---------------------------------------------------------------
 
 
-def enumerate_graphs(genus, n_leaves, max_vertices=8):
+def enumerate_graphs(genus, n_leaves):
     """All connected trivalent multigraphs with the given first Betti number
     and leaf count, up to isomorphism fixing leaf labels."""
     if genus < 0 or n_leaves < 0:
@@ -533,8 +533,6 @@ def enumerate_graphs(genus, n_leaves, max_vertices=8):
     if genus > 2 or n_leaves > 6:
         raise BoundsTooLarge("desk scale is genus <= 2, leaves <= 6")
     n_internal = 2 * genus + n_leaves - 2
-    if n_internal > max_vertices:
-        raise BoundsTooLarge(f"{n_internal} internal vertices > {max_vertices}")
     if n_internal < 0:
         return []
     if n_internal == 0:

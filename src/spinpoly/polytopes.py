@@ -24,29 +24,14 @@ INF = float("inf")
 
 
 @dataclass(frozen=True)
-class ParityLattice:
-    """Sublattice of Z^d cut out by even-sum conditions.
-
-    parity_sets are coordinate index tuples; an index may repeat (a loop edge
-    counts twice in its trinode sum)."""
-
-    ambient_dim: int
-    parity_sets: tuple = ()
-
-    def contains(self, point):
-        return all(sum(point[i] for i in s) % 2 == 0 for s in self.parity_sets)
-
-
-@dataclass(frozen=True)
 class LatticeMap:
     """x -> rows·x / den: integer rows over a common denominator, required
-    to be integral on every point it is applied to.  target and source name
-    the polytopes it maps between, where that matters (fiber products)."""
+    to be integral on every point it is applied to.  target names the
+    polytope it maps into, where that matters (fiber products)."""
 
     rows: tuple  # tuple of integer tuples
     den: int = 1
     target: object = None  # GradedPolytope
-    source: object = None
 
     def apply(self, point):
         out = []
@@ -65,8 +50,9 @@ class GradedPolytope:
     dim: int
     inequalities: tuple  # ((row), rhs): row·x <= N·rhs
     equalities: tuple    # ((row), rhs): row·x == N·rhs
-    lattice: ParityLattice
-    coord_names: tuple = ()
+    # coordinate index tuples of even sum; an index may repeat (a loop edge
+    # counts twice in its trinode sum)
+    parity_sets: tuple = ()
     to_lattice: LatticeMap = None  # lattice coordinates; None: identity
 
     def lattice_points(self, N):
@@ -194,7 +180,7 @@ def _plan(P):
         for j, a in nz:
             touching[j].append((len(rows), a))
         rows.append((nz, b))
-    odd = ({i for i in s if s.count(i) % 2} for s in P.lattice.parity_sets)
+    odd = ({i for i in s if s.count(i) % 2} for s in P.parity_sets)
     return rows, touching, units, [sorted(s) for s in odd if s]
 
 
@@ -290,10 +276,12 @@ def weighted_graph(g, r):
     return g
 
 
-def from_graph(g, r, L, lattice="parity"):
+def from_graph(g, r, L):
     """The polytope of nonnegative edge weightings of g with leaf weights r
     and level L: per trinode the triangle inequalities, level sum <= 2L, and
-    (parity lattice) even trinode sum."""
+    even trinode sum."""
+    if L < 0:
+        raise InvalidParams(f"level L = {L} must be >= 0")
     g = weighted_graph(g, r)
     dim = len(g.edges)
     ineqs = [(_unit(dim, i, -1), 0) for i in range(dim)]
@@ -306,9 +294,7 @@ def from_graph(g, r, L, lattice="parity"):
     eqs = []
     for lab, _ in g.leaves:
         eqs.append((_unit(dim, g.leaf_edge_index(lab)), r[lab - 1]))
-    names = tuple(f"w{i}" for i in range(dim))
-    pl = ParityLattice(dim, tuple(psets) if lattice == "parity" else ())
-    return GradedPolytope(dim, tuple(ineqs), tuple(eqs), pl, names)
+    return GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets))
 
 
 def _doubled_pairs(frag):
@@ -380,9 +366,8 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
             rows.append(tuple(a - b for a, b in zip(u, v)))
             rows.append(tuple(a + b for a, b in zip(u, v)))
         to_lattice = LatticeMap(tuple(rows), 2)
-    names = tuple(f"e{i}" for i in range(dim))
-    return GradedPolytope(dim, tuple(ineqs), tuple(eqs),
-                          ParityLattice(dim, tuple(psets)), names, to_lattice)
+    return GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets),
+                          to_lattice)
 
 
 # -- building blocks -----------------------------------------------------
@@ -391,15 +376,13 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
 def interval(L):
     if L < 0:
         raise InvalidParams("L must be nonnegative")
-    return GradedPolytope(
-        1, ((( -1,), 0), ((1,), L)), (), ParityLattice(1), ("t",),
-        LatticeMap(((1,),)),
-    )
+    return GradedPolytope(1, (((-1,), 0), ((1,), L)), (), (),
+                          LatticeMap(((1,),)))
 
 
 def point_polytope():
     """The 0-dimensional polytope (fiber products over it are products)."""
-    return GradedPolytope(0, (), (), ParityLattice(0), (), LatticeMap(()))
+    return GradedPolytope(0, (), (), (), LatticeMap(()))
 
 
 _HALVE3 = LatticeMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2)
@@ -421,8 +404,7 @@ def p3(L, even_edges=False):
         # triangle basis (0,1,1),(1,0,1),(1,1,0) for the trinode parity
         # lattice; P3(L) becomes the simplex {t >= 0, sum t <= L}
         trans = _TRIANGLE_BASIS
-    return GradedPolytope(3, tuple(ineqs), (), ParityLattice(3, tuple(psets)),
-                          ("w1", "w2", "w3"), trans)
+    return GradedPolytope(3, tuple(ineqs), (), tuple(psets), trans)
 
 
 def p3_fixed1(r, L):
@@ -431,13 +413,11 @@ def p3_fixed1(r, L):
         raise InvalidParams(f"need 0 <= r <= 2L, got r={r}, L={L}")
     base = p3(L)
     eqs = ((_unit(3, 0), r),)
-    psets = [base.lattice.parity_sets[0]]
     trans = None
     if r % 2 == 0:
         # lattice {w2 + w3 even}: basis ((w2+w3)/2, (w2-w3)/2), w1 pinned
         trans = LatticeMap(((1, 0, 0), (0, 1, 1), (0, 1, -1)), 2)
-    return GradedPolytope(3, base.inequalities, eqs,
-                          ParityLattice(3, tuple(psets)), base.coord_names, trans)
+    return GradedPolytope(3, base.inequalities, eqs, base.parity_sets, trans)
 
 
 def p3_fixed2(r, s, L):
@@ -452,9 +432,7 @@ def p3_fixed2(r, s, L):
     if (r + s) % 2 == 0:
         h = 1 + r % 2
         trans = LatticeMap(((h, 0, 0), (0, h, 0), (0, 0, 1)), 2)
-    return GradedPolytope(3, base.inequalities, eqs,
-                          ParityLattice(3, base.lattice.parity_sets[:1]),
-                          base.coord_names, trans)
+    return GradedPolytope(3, base.inequalities, eqs, base.parity_sets, trans)
 
 
 def loop_b(L):
@@ -468,8 +446,8 @@ def loop_b(L):
         ((-2, 1), 0),
         ((2, 1), 2 * L),
     )
-    return GradedPolytope(2, ineqs, (), ParityLattice(2, ((0, 0, 1),)),
-                          ("x", "y"), LatticeMap(((2, 0), (0, 1)), 2))
+    return GradedPolytope(2, ineqs, (), ((0, 0, 1),),
+                          LatticeMap(((2, 0), (0, 1)), 2))
 
 
 def loop_b2(L):
@@ -484,12 +462,11 @@ def loop_b2(L):
     ineqs.extend(rows_u)
     ineqs.extend(rows_v)
     psets = (pset_u, pset_v, (0,), (3,))
-    return GradedPolytope(4, tuple(ineqs), (), ParityLattice(4, psets),
-                          ("a", "y1", "y2", "c"), B2_COORDS)
+    return GradedPolytope(4, tuple(ineqs), (), psets, B2_COORDS)
 
 
 def with_full_lattice(P):
-    return replace(P, lattice=ParityLattice(P.dim), to_lattice=None)
+    return replace(P, parity_sets=(), to_lattice=None)
 
 
 # -- B_2 change of coordinates and quadrants -----------------------------
@@ -539,8 +516,7 @@ def quadrant(q, L):
             ineqs.append((tuple(row), 2 * L))
         ineqs.append((_unit(4, B, -1), -L))
         ineqs.append((_unit(4, B), 2 * L))
-    return GradedPolytope(4, tuple(ineqs), (), ParityLattice(4),
-                          ("x", "z", "A", "B"), None)
+    return GradedPolytope(4, tuple(ineqs), ())
 
 
 # -- lattice maps and fiber products -------------------------------------
@@ -549,7 +525,7 @@ def quadrant(q, L):
 def edge_projection(P, coord, L):
     """w -> w_coord / 2 into the interval [0, L] (interior edges carry even
     weight in context)."""
-    return LatticeMap((_unit(P.dim, coord),), 2, interval(L), P)
+    return LatticeMap((_unit(P.dim, coord),), 2, interval(L))
 
 
 @dataclass(frozen=True)
@@ -559,13 +535,8 @@ class FiberProduct:
     polytope: GradedPolytope
     p1: GradedPolytope
     p2: GradedPolytope
-    f1: LatticeMap
-    f2: LatticeMap
     offset: int  # dim of p1; p2 coordinates start here
     glued_pairs: tuple = ()  # (i, j) native coordinate pairs with w_i = w_j
-
-    def split(self, point):
-        return point[: self.offset], point[self.offset:]
 
 
 def fiber_product(P1, f1, P2, f2):
@@ -596,10 +567,8 @@ def fiber_product(P1, f1, P2, f2):
         nz = [j for j, c in enumerate(row) if c]
         if len(nz) == 2 and nz[0] < d1 <= nz[1] and row[nz[0]] == -row[nz[1]]:
             glued.append(tuple(nz))
-    psets = [tuple(s) for s in P1.lattice.parity_sets]
-    psets += [tuple(d1 + i for i in s) for s in P2.lattice.parity_sets]
-    names = tuple(f"L.{n}" for n in (P1.coord_names or [f"x{i}" for i in range(d1)]))
-    names += tuple(f"R.{n}" for n in (P2.coord_names or [f"y{i}" for i in range(d2)]))
+    psets = [tuple(s) for s in P1.parity_sets]
+    psets += [tuple(d1 + i for i in s) for s in P2.parity_sets]
     trans = None
     t1, t2 = P1.to_lattice, P2.to_lattice
     if t1 is not None and t2 is not None:
@@ -607,9 +576,8 @@ def fiber_product(P1, f1, P2, f2):
         rows = [pad1(den // t1.den * c for c in r) for r in t1.rows]
         rows += [pad2(den // t2.den * c for c in r) for r in t2.rows]
         trans = LatticeMap(tuple(rows), den)
-    poly = GradedPolytope(dim, tuple(ineqs), tuple(eqs),
-                          ParityLattice(dim, tuple(psets)), names, trans)
-    return FiberProduct(poly, P1, P2, f1, f2, d1, tuple(glued))
+    poly = GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets), trans)
+    return FiberProduct(poly, P1, P2, d1, tuple(glued))
 
 
 # -- assembly ------------------------------------------------------------
@@ -637,7 +605,6 @@ class Assembly:
     components: tuple  # (fragment, recognize_block name, GradedPolytope)
     steps: tuple       # readable fold description
     coord_map: tuple   # per final coordinate: (component, local edge, original edge)
-    fiber_products: tuple  # the intermediate FiberProduct records
 
 
 def assemble(eg, r, L, even_interior=False):
@@ -647,9 +614,9 @@ def assemble(eg, r, L, even_interior=False):
     The result has one coordinate per component edge (split edges appear once
     per side, glued by an equality); its lattice point count matches the
     source graph polytope in every dilation."""
-    r_map = {lab: r[lab - 1] for lab, _ in eg.source.leaves}
     if len(r) != eg.source.n_leaves:
         raise LengthMismatch(f"{len(r)} weights for {eg.source.n_leaves} leaves")
+    r_map = {lab: r[lab - 1] for lab, _ in eg.source.leaves}
     comps = []
     for frag in eg.components:
         P = fragment_polytope(frag, r_map, L, even_stubs=even_interior)
@@ -685,7 +652,6 @@ def assemble(eg, r, L, even_interior=False):
         coord_map.append((0, i, frag0.original_edges[i]))
     acc = comps[0][2]
     steps = [f"component0:{comps[0][1]}"]
-    fps = []
     for c in order[1:]:
         rec, ca, ea, cb, eb = attach[c]
         frag = eg.components[c]
@@ -698,9 +664,8 @@ def assemble(eg, r, L, even_interior=False):
             placed_coord[(c, i)] = offset + i
             coord_map.append((c, i, frag.original_edges[i]))
         acc = fp.polytope
-        fps.append(fp)
         steps.append(f"x_[0,{L}] component{c}:{comps[c][1]}")
-    return Assembly(acc, tuple(comps), tuple(steps), tuple(coord_map), tuple(fps))
+    return Assembly(acc, tuple(comps), tuple(steps), tuple(coord_map))
 
 
 # -- the cubic-relation region -------------------------------------------
@@ -735,5 +700,4 @@ def trinode_cubic_region():
     for i in range(3):
         ineqs.append((_unit(3, i, -1), 0))
         ineqs.append((_unit(3, i), 2))
-    return GradedPolytope(3, tuple(ineqs), (), ParityLattice(3, ((0, 1, 2),)),
-                          ("w1", "w2", "w3"), _TRIANGLE_BASIS)
+    return GradedPolytope(3, tuple(ineqs), (), ((0, 1, 2),), _TRIANGLE_BASIS)

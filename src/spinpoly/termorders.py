@@ -274,16 +274,15 @@ def is_flag(P, order, D):
     return Check(True)
 
 
-def is_balanced(P, D, transform=None):
+def is_balanced(P, D):
     """Existential balancedness in lattice coordinates: every multiset of
     2..D lattice points admits a same-size, same-sum multiset of lattice
     points whose coordinate slices are balanced.  That multiset is a
     slice-balanced member of the same fiber, so one pass per degree flags the
     fibers that have one; the witness is the first multiset of the first
     unflagged fiber, the first multiset with no balanced rewrite."""
-    t = transform or P.transform_point
     pts = P.lattice_points(1)
-    tpts = [t(p) for p in pts]
+    tpts = [P.transform_point(p) for p in pts]
     if len(set(tpts)) != len(tpts):
         raise NotTotal("lattice transform is not injective on points")
     for N in range(2, D + 1):

@@ -31,26 +31,11 @@ from .termorders import (
 )
 
 
-@dataclass(frozen=True)
-class HilbertTable:
-    entries: tuple  # entries[N] = lattice point count of dilation N
-
-    def __getitem__(self, n):
-        return self.entries[n]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def to_csv(self):
-        lines = ["N,count"]
-        lines += [f"{n},{c}" for n, c in enumerate(self.entries)]
-        return "\n".join(lines) + "\n"
-
-
 def _table(entries):
+    """entries[N] = lattice point count of dilation N, as a tuple."""
     if len(entries) > 1 and not any(entries[1:]):
         entries[0] = 0  # empty-polytope convention
-    return HilbertTable(tuple(entries))
+    return tuple(entries)
 
 
 def hilbert(P, Nmax):
@@ -161,14 +146,9 @@ def is_normal(P, Dmax):
     return Check(True)
 
 
-@dataclass(frozen=True)
-class BinomialRelation:
-    lhs: tuple  # monomials
-    rhs: tuple
-
-
 def degree_two_relations(P, order):
-    """Pairs (nonstandard degree-2 monomial, the standard one in its fiber)."""
+    """Pairs (nonstandard degree-2 monomial, the standard one in its fiber),
+    sorted."""
     out = []
     for b, fiber in monomials_by_image(P, 2).items():
         if len(fiber) < 2:
@@ -177,8 +157,8 @@ def degree_two_relations(P, order):
         std = minima[0]
         for m in fiber:
             if m not in minima:
-                out.append(BinomialRelation(m, std))
-    return sorted(out, key=lambda rel: rel.lhs)
+                out.append((m, std))
+    return sorted(out)
 
 
 @dataclass
@@ -360,10 +340,12 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
     polyquad, L >= 0: caterpillar + even r: quadratic square-free GB under
       the assembled concatenation order.
     invariance, L >= 0: Hilbert tables, by `hilbert_by_fusion`, agree
-      across all graphs with (genus, leaves); a family whose polytopes have
-      no degree-1 point is refused.
+      across all graphs with (genus, leaves).
     d2bp, L >= 0: caterpillar tree + even r: the assembly is a fiber
       product of <= 2-dimensional balanced blocks and its GB check passes.
+
+    A polytope, or a family of them, with no degree-1 point is refused:
+    every check on it would pass vacuously.
     """
     t0 = time.perf_counter()
     timings = {}
@@ -381,8 +363,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             raise HypothesisViolated(f"no graph has genus {genus} and {leaves} leaves")
         t1 = time.perf_counter()
         timings["graphs"] = t1 - t0
-        tables = [hilbert_by_fusion(g, tuple(r), level, nmax).entries
-                  for g in gs]
+        tables = [hilbert_by_fusion(g, tuple(r), level, nmax) for g in gs]
         timings["counts"] = time.perf_counter() - t1
         ok = all(t == tables[0] for t in tables)
         if ok and not any(tables[0][1:2]):
@@ -400,6 +381,8 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             [] if ok else [{"tables": tables}], timings,
             list(tables[0]) if ok else None)
 
+    if graph is None or r is None:
+        raise HypothesisViolated(f"{name} needs graph, r")
     g = validate(graph)
     r = tuple(r)
 
@@ -409,6 +392,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         if not is_compatible(g, r):
             raise HypothesisViolated("weights are not compatible with the graph")
         P = from_graph(g, r, level)
+        _require_degree_one_point(P, r, level)
         t1 = time.perf_counter()
         try:
             cert = relation_degree(P, 3, dmax)
@@ -438,6 +422,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         from .catp import boxtimes_assemble
 
         wp, assembly = boxtimes_assemble(g, r, level)
+        _require_degree_one_point(wp.polytope, r, level)
         witnesses = []
         ok = True
         if name == "d2bp":
@@ -466,3 +451,9 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             {"dmax": dmax}, ok, witnesses, timings)
 
     raise HypothesisViolated(f"unknown theorem {name!r}")
+
+
+def _require_degree_one_point(P, r, level):
+    if not P.lattice_points(1):
+        raise HypothesisViolated(
+            f"P(graph, r={list(r)}, L={level}) has no degree-1 point")

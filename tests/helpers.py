@@ -23,6 +23,10 @@ from spinpoly.termorders import monomials_by_image
 from spinpoly.toric import GenerationCertificate
 
 
+def in_parity_lattice(P, point):
+    return all(sum(point[i] for i in s) % 2 == 0 for s in P.parity_sets)
+
+
 def naive_points(P, N, radius=None):
     """All lattice members of dilation N by scanning a box.
 
@@ -42,7 +46,7 @@ def naive_points(P, N, radius=None):
         if any(sum(a * x for a, x in zip(row, cand)) != b * N
                for row, b in P.equalities):
             continue
-        if not P.lattice.contains(cand):
+        if not in_parity_lattice(P, cand):
             continue
         out.append(cand)
     return sorted(out)
@@ -70,7 +74,7 @@ def naive_nonneg_points(P, N, radius=None):
         if any(sum(a * x for a, x in zip(row, cand)) != b * N
                for row, b in P.equalities):
             continue
-        if not P.lattice.contains(cand):
+        if not in_parity_lattice(P, cand):
             continue
         out.append(cand)
     return sorted(out)

@@ -16,9 +16,9 @@ from spinpoly.catp import (
 )
 from spinpoly.errors import (
     HypothesisViolated,
-    NonTotalComponents,
     NonUniqueBase,
     NotAPolytopeMap,
+    NotTotal,
 )
 from spinpoly.polytopes import (
     LatticeMap,
@@ -42,12 +42,12 @@ def interval_object(L):
 
 def halving_map(L):
     """[0, 2L] -> [0, L], t -> t/2 (only valid on even points)."""
-    return LatticeMap(((1,),), 2, interval(L), interval(2 * L))
+    return LatticeMap(((1,),), 2, interval(L))
 
 
 def inclusion_map(L, M):
     """[0, L] -> [0, M], t -> t (needs L <= M)."""
-    return LatticeMap(((1,),), 1, interval(M), interval(L))
+    return LatticeMap(((1,),), 1, interval(M))
 
 
 def test_check_morphism_inclusion_is_morphism():
@@ -62,7 +62,7 @@ def test_doubling_is_not_a_morphism():
     # t -> 2t sends the standard pair (0,),(1,) to (0,),(2,), which loses to
     # the balanced pair (1,),(1,) in the target
     src, tgt = interval_object(2), interval_object(4)
-    dbl = LatticeMap(((2,),), 1, interval(4), interval(2))
+    dbl = LatticeMap(((2,),), 1, interval(4))
     chk = check_morphism(dbl, src, tgt, 2)
     assert not chk.ok
     assert chk.counterexample == ((0,), (1,))
@@ -70,7 +70,7 @@ def test_doubling_is_not_a_morphism():
 
 def test_check_morphism_rejects_out_of_range():
     src, tgt = interval_object(4), interval_object(2)
-    ident = LatticeMap(((1,),), 1, interval(2), interval(4))
+    ident = LatticeMap(((1,),), 1, interval(2))
     with pytest.raises(NotAPolytopeMap):
         check_morphism(ident, src, tgt, 2)
 
@@ -82,7 +82,7 @@ def test_check_morphism_zero_weight_counterexample():
     src = interval_object(2)
     tgt = WeightedPolytope(interval(2),
                            TermWeight(lambda p: -p[0] * p[0], "neg"))
-    ident = LatticeMap(((1,),), 1, interval(2), interval(2))
+    ident = LatticeMap(((1,),), 1, interval(2))
     chk = check_morphism(ident, src, tgt, 2)
     assert not chk.ok
     assert chk.counterexample == ((1,), (1,))
@@ -154,7 +154,7 @@ def test_boxtimes_object_rejects_non_total():
     base = interval_object(2)
     src = WeightedPolytope(A, TermWeight.sigma2(A.transform_point))
     m1 = check_morphism(edge_projection(A, 2, 2), src, base, 2).morphism
-    with pytest.raises(NonTotalComponents):
+    with pytest.raises(NotTotal):
         boxtimes_object(m1, m1, 2)
 
 

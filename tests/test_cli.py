@@ -206,6 +206,39 @@ def test_verify_polyquad_odd_level_counterexample_exit_1(tmp_path, capsys):
     assert rep["witnesses"][0]["standard_count"] == 14
 
 
+@pytest.mark.parametrize("theorem", ["polypres", "polyquad", "d2bp"])
+def test_verify_empty_polytope_exit_2(theorem, tmp_path, capsys):
+    # leaf sum 6 > 2L = 4: no degree-1 point, so no vacuous pass
+    p = tmp_path / "cat3.json"
+    p.write_text(json.dumps(graphs.caterpillar_tree(3).to_json_dict()))
+    assert run(["verify", "--theorem", theorem, "--graph", str(p),
+                "--r", "2,2,2", "--level", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "has no degree-1 point" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "polypres", "--level", "2"],
+    ["verify", "--theorem", "polyquad", "--level", "2"],
+    ["verify", "--theorem", "polyquad", "--r", "2,2,2", "--level", "2"],
+    ["verify", "--theorem", "polyquad", "--r", "2,2,2,2", "--level", "2",
+     "--dmax", "-1"],
+    ["verify", "--theorem", "d2bp", "--r", "2,2,2,2", "--level", "2",
+     "--dmax", "0"],
+    ["normal", "--r", "2,2,2,2", "--level", "2", "--dmax", "1"],
+    ["relations", "--r", "2,2,2,2", "--level", "2", "--dmax", "1"],
+    ["gb-check", "--r", "2,2,2,2", "--level", "2", "--dmax", "1"],
+    ["balanced", "--r", "2,2,2,2", "--level", "2", "--depth", "1"],
+    ["normal", "--r", "2,2,2,2", "--level", "-1"],
+    ["balanced", "--r", "2,2,2,2", "--level", "-2"],
+])
+def test_bad_input_exit_2(argv, t4_path, capsys):
+    # each used to raise, or to exit 0 having checked nothing
+    assert run(argv[:1] + ["--graph", t4_path] + argv[1:]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error" in err
+
+
 def test_verify_move_max_rejected(loopy_path, capsys):
     # polypres bounds relations by the theorem's fixed degree 3
     assert run(["verify", "--theorem", "polypres", "--graph", loopy_path,
@@ -230,11 +263,12 @@ def test_graphs_command(capsys):
 
 
 def test_graphs_command_output_unchanged(capsys):
-    # sha256 of the report written by the n!-canonicalizing enumerator
+    # sha256 of the report written by the n!-canonicalizing enumerator, with
+    # empty bounds: the enumeration takes no vertex bound
     assert run(["graphs", "--genus", "1", "--leaves", "4"]) == 0
     text = capsys.readouterr().out.encode()
     assert hashlib.sha256(text).hexdigest() == \
-        "282f762fa07178d3a1c3cbaf164b2a03222d1207cf6a0df001f0c22f01143d6d"
+        "c9765b5e6ca73bb54724e3512f9eb697bc90efe5159135b47bf2c480cd32e082"
 
 
 @pytest.mark.parametrize("genus,leaves", [("-1", "4"), ("0", "-1")])

@@ -15,7 +15,6 @@ from spinpoly.polytopes import (
     B2_COORDS_INVERSE,
     GradedPolytope,
     LatticeMap,
-    ParityLattice,
     assemble,
     edge_projection,
     fiber_product,
@@ -38,6 +37,7 @@ from spinpoly.polytopes import (
 from helpers import (
     assembled_point_to_graph_point,
     fraction_glue_rows,
+    in_parity_lattice,
     loop_with_leaf,
     naive_nonneg_points,
     naive_points,
@@ -62,14 +62,12 @@ NAIVE_CASES = [
     # empty by bounds: the free edge would need 4 <= t <= 0
     (p3_fixed2(0, 4, 2), 2, 4),
     # x + y <= 1 with x = y = 1 pinned: the row fails at every N >= 1
-    (GradedPolytope(2, (((1, 1), 1),), (((1, 0), 1), ((0, 1), 1)),
-                    ParityLattice(2)), 2, 2),
+    (GradedPolytope(2, (((1, 1), 1),), (((1, 0), 1), ((0, 1), 1))), 2, 2),
     # x = 1, y = 0 pinned in the parity set {x, y}: odd at every odd N
     (GradedPolytope(3, (((0, 0, -1), 0), ((1, 1, 1), 2)),
-                    (((1, 0, 0), 1), ((0, 1, 0), 0)),
-                    ParityLattice(3, ((0, 1),))), 3, 2),
+                    (((1, 0, 0), 1), ((0, 1, 0), 0)), ((0, 1),)), 3, 2),
     # 1 <= x <= 0: empty, but its 0-th dilation is the origin
-    (GradedPolytope(1, (((-1,), -1), ((1,), 0)), (), ParityLattice(1)), 2, 1),
+    (GradedPolytope(1, (((-1,), -1), ((1,), 0)), ()), 2, 1),
 ]
 
 
@@ -116,7 +114,7 @@ def test_search_plan_cache_is_bounded():
 
 def test_unbounded_polytope_raises():
     # 0 <= x <= y, and nothing bounds y
-    P = GradedPolytope(2, (((-1, 0), 0), ((1, -1), 0)), (), ParityLattice(2))
+    P = GradedPolytope(2, (((-1, 0), 0), ((1, -1), 0)), ())
     with pytest.raises(Unbounded):
         P.lattice_points(1)
 
@@ -136,8 +134,7 @@ def small_systems(draw):
            for _ in range(draw(st.integers(0, 1)))]
     psets = draw(st.lists(st.lists(st.integers(0, dim - 1), max_size=3)
                           .map(tuple), max_size=2))
-    return box, GradedPolytope(dim, tuple(ineqs), tuple(eqs),
-                               ParityLattice(dim, tuple(psets)))
+    return box, GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets))
 
 
 @given(small_systems(), st.integers(0, 3))
@@ -456,7 +453,7 @@ def test_caterpillar_points_sorted_distinct_members(r, L, N):
     pts = P.lattice_points(N)
     assert list(pts) == sorted(set(pts))
     for p in pts:
-        assert P.lattice.contains(p)
+        assert in_parity_lattice(P, p)
         assert all(sum(a * x for a, x in zip(row, p)) <= b * N
                    for row, b in P.inequalities)
         assert all(sum(a * x for a, x in zip(row, p)) == b * N
@@ -489,8 +486,8 @@ def lattice_map_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_glue_rows_match_fraction_route(maps):
     (d1, f1), (d2, f2) = maps
-    P1 = GradedPolytope(d1, (), (), ParityLattice(d1))
-    P2 = GradedPolytope(d2, (), (), ParityLattice(d2))
+    P1 = GradedPolytope(d1, (), ())
+    P2 = GradedPolytope(d2, (), ())
     fp = fiber_product(P1, f1, P2, f2)
     eqs, glued = fraction_glue_rows(f1, f2, d1)
     assert list(fp.polytope.equalities) == eqs

@@ -13,14 +13,13 @@ def load_script(name):
 
 
 def test_run_verifications_battery(tmp_path, capsys):
-    assert load_script("run_verifications").main(["--out", str(tmp_path)]) == 0
+    script = load_script("run_verifications")
+    assert script.main(["--out", str(tmp_path)]) == 0
     capsys.readouterr()
     certs = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))]
-    assert len(certs) == 14
-    levels = [c["instance"]["level"] for c in certs
-              if c["theorem"] != "invariance"]
-    assert levels == [2] * 10
-    assert all(c["result"] for c in certs)
+    expected = [e for _, _, e in script.instances()]
+    assert len(certs) == 20 and expected.count(False) == 6
+    assert [c["result"] for c in certs] == expected
 
 
 def test_record_bench_guard_line_check():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -184,7 +185,7 @@ def test_initial_complex_faces_match_networkx_cliques():
     import networkx as nx
 
     B = loop_b(2)
-    x_to_base = LatticeMap(((1, 0),), 1, interval(2), B)
+    x_to_base = LatticeMap(((1, 0),), 1, interval(2))
     fp = fiber_product(B, x_to_base, B, x_to_base).polytope
     cases = [(interval(3), sigma2_lex_order()),
              (p3(2), sigma2_lex_order(p3(2).transform_point)),
@@ -265,15 +266,15 @@ def test_balanced_battery():
 def test_p3_raw_coordinates_not_balanced():
     # [DERIVED] in raw edge coordinates P3(3) is not balanced: the pair
     # (1,1,2),(1,3,2) has no slice-balanced rewrite with the same sum
-    chk = is_balanced(p3(3), 2, transform=tuple)
+    chk = is_balanced(replace(p3(3), to_lattice=None), 2)
     assert not chk.ok
 
 
-def _balanced_per_combination(P, D, transform):
+def _balanced_per_combination(P, D):
     """Reference: a decomposition search for every unbalanced multiset of
-    transformed coordinates, in combination order (remembered per fiber)."""
+    lattice coordinates, in combination order (remembered per fiber)."""
     pts = P.lattice_points(1)
-    tpts = [transform(p) for p in pts]
+    tpts = [P.transform_point(p) for p in pts]
     tset = set(tpts)
     for N in range(2, D + 1):
         found = {}
@@ -290,23 +291,24 @@ def _balanced_per_combination(P, D, transform):
 
 
 def _balancedness_instances():
-    """(polytope, transforms): blocks in raw and, where they have a lattice
-    map, lattice coordinates; graph polytopes in raw ones."""
+    """Blocks in raw and, where they have a lattice map, lattice
+    coordinates; graph polytopes, which have none, in raw ones."""
     for P in (*blocks_up_to_level_2(), quadrant(1, 3), quadrant(3, 3), p3(3)):
-        yield P, (tuple, P.transform_point) if P.to_lattice else (tuple,)
+        yield replace(P, to_lattice=None)
+        if P.to_lattice:
+            yield P
     t4 = graphs.caterpillar_tree(4)
     for r in ((1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2), (2, 2, 0, 0)):
-        yield from ((from_graph(t4, r, L), (tuple,)) for L in (1, 2, 3))
+        yield from (from_graph(t4, r, L) for L in (1, 2, 3))
 
 
 def test_is_balanced_matches_per_combination_reference():
     # flagging fibers by membership keeps the verdict and the first witness
     checks = []
-    for P, transforms in _balancedness_instances():
-        for transform in transforms:
-            chk = is_balanced(P, 3, transform=transform)
-            assert chk == _balanced_per_combination(P, 3, transform)
-            checks.append(chk)
+    for P in _balancedness_instances():
+        chk = is_balanced(P, 3)
+        assert chk == _balanced_per_combination(P, 3)
+        checks.append(chk)
     assert any(not c.ok for c in checks) and any(c.ok for c in checks)
 
 
@@ -318,13 +320,13 @@ def test_p3_fixed2_odd_pins_balanced_in_lattice_coordinates():
         assert [P.transform_point(p) for p in P.lattice_points(1)] == \
             [(1, 1, 0), (1, 1, 1)]
         assert is_balanced(P, 3) == Check(True)
-        assert not is_balanced(P, 3, transform=tuple).ok
+        assert not is_balanced(replace(P, to_lattice=None), 3).ok
 
 
 def test_is_balanced_requires_injective_transform():
-    P = interval(2)
+    P = replace(interval(2), to_lattice=LatticeMap(((0,),)))
     with pytest.raises(NotTotal):
-        is_balanced(P, 2, transform=lambda p: (0,))
+        is_balanced(P, 2)
 
 
 # -- order realizations ---------------------------------------------------

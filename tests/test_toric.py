@@ -51,25 +51,20 @@ from helpers import (
 
 def test_hilbert_interval():
     # [TRIVIAL] interval [0, 2]
-    assert hilbert(interval(2), 3).entries == (1, 3, 5, 7)
+    assert hilbert(interval(2), 3) == (1, 3, 5, 7)
 
 
 def test_hilbert_empty_convention():
     # an infeasible system reports all-zero including N = 0
     g = graphs.caterpillar_tree(4)
     P = from_graph(g, (1, 2, 2, 2), 2)
-    assert hilbert(P, 2).entries == (0, 0, 0)
-
-
-def test_hilbert_csv():
-    text = hilbert(interval(1), 2).to_csv()
-    assert text == "N,count\n0,1\n1,2\n2,3\n"
+    assert hilbert(P, 2) == (0, 0, 0)
 
 
 def test_hilbert_tree_like_oracle():
     # [DERIVED] loop-at-leaf graph, r=(2,2), L=2
     g = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
-    assert hilbert(from_graph(g, (2, 2), 2), 3).entries == (1, 3, 5, 7)
+    assert hilbert(from_graph(g, (2, 2), 2), 3) == (1, 3, 5, 7)
 
 
 # The invariance benchmark's families, (genus, leaves, L, r), and those of
@@ -112,8 +107,8 @@ def test_hilbert_by_fusion_seeded_sweep():
 
 def test_hilbert_by_fusion_empty_convention():
     g = graphs.caterpillar_tree(4)
-    assert hilbert_by_fusion(g, (1, 2, 2, 2), 2, 2).entries == (0, 0, 0)
-    assert hilbert_by_fusion(g, (1, 1, 2, 2), 2, 0).entries == (1,)
+    assert hilbert_by_fusion(g, (1, 2, 2, 2), 2, 2) == (0, 0, 0)
+    assert hilbert_by_fusion(g, (1, 1, 2, 2), 2, 0) == (1,)
 
 
 def test_hilbert_by_fusion_rejects_wrong_length_r():
@@ -256,8 +251,8 @@ def test_degree_two_relations_q1():
     order = sigma2_lex_order()
     rels = degree_two_relations(P, order)
     assert len(rels) == 1
-    assert rels[0].lhs == ((0, 0, 0, 1), (1, 1, 0, 1))
-    assert rels[0].rhs == ((0, 1, 0, 1), (1, 0, 0, 1))
+    assert rels[0] == (((0, 0, 0, 1), (1, 1, 0, 1)),
+                       ((0, 1, 0, 1), (1, 0, 0, 1)))
 
 
 # -- quadratic square-free GB ---------------------------------------------
@@ -350,7 +345,7 @@ def polypres_instances():
     to; all are checked at L=2."""
     loopy = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     return [
-        (graphs.caterpillar_tree(3), (2, 2, 2), 4),
+        (graphs.caterpillar_tree(4), (1, 1, 1, 1), 4),
         (graphs.caterpillar_tree(4), (1, 1, 2, 2), 4),
         (graphs.caterpillar_tree(4), (2, 2, 2, 2), 4),
         (graphs.caterpillar_tree(5), (1, 1, 2, 1, 1), 4),
@@ -370,6 +365,16 @@ def test_polypres_rejects_level_one():
     with pytest.raises(HypothesisViolated, match="L > 1"):
         verify_theorem("polypres", graph=graphs.caterpillar_tree(3),
                        r=(2, 2, 2), level=1)
+
+
+@pytest.mark.parametrize("name", ["polypres", "polyquad", "d2bp"])
+def test_empty_polytope_refused(name):
+    # leaf sum 6 > 2L = 4: no degree-1 point, so every check would pass
+    assert hilbert(from_graph(graphs.caterpillar_tree(3), (2, 2, 2), 2),
+                   3) == (0, 0, 0, 0)
+    with pytest.raises(HypothesisViolated, match="no degree-1 point"):
+        verify_theorem(name, graph=graphs.caterpillar_tree(3), r=(2, 2, 2),
+                       level=2)
 
 
 def test_polypres_rejects_incompatible():
