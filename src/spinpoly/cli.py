@@ -19,6 +19,7 @@ from .toric import (
     is_normal,
     quadratic_squarefree_gb,
     relation_degree,
+    require_degree_one_point,
     verify_theorem,
 )
 
@@ -217,6 +218,9 @@ def _dispatch(args):
         P = from_graph(g, r, L)
         if getattr(args, "lattice", "parity") == "full":
             P = with_full_lattice(P)
+        if cmd in ("normal", "relations", "balanced"):
+            # a check on no point would pass vacuously
+            require_degree_one_point(P, r, L)
 
     if cmd == "points":
         pts = P.lattice_points(args.dilation)
@@ -265,6 +269,7 @@ def _dispatch(args):
         from .catp import boxtimes_assemble
 
         wp, assembly = boxtimes_assemble(g, r, L)
+        require_degree_one_point(wp.polytope, r, L)
         chk = quadratic_squarefree_gb(wp.polytope, wp.order, args.dmax)
         report = _envelope(args, {"dmax": args.dmax}, {
             "pass": chk.ok,

@@ -23,43 +23,6 @@ def sigma_squared(v):
     return sum(x * x for x in v)
 
 
-def balance_pair(x, y):
-    s = x + y
-    return (s // 2, s - s // 2)
-
-
-def balance_tuple(vectors):
-    """Repeated entrywise pairwise balancing to a fixpoint: the result has
-    the same vector sum and every coordinate slice balanced (max-min <= 1)."""
-    vecs = [list(v) for v in vectors]
-    if not vecs:
-        return ()
-    dim = len(vecs[0])
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                for k in range(dim):
-                    a, b = vecs[i][k], vecs[j][k]
-                    lo, hi = balance_pair(a, b)
-                    if (a, b) != (lo, hi) and abs(a - b) > 1:
-                        vecs[i][k], vecs[j][k] = lo, hi
-                        changed = True
-    return tuple(tuple(v) for v in vecs)
-
-
-def is_slice_balanced(vectors):
-    if not vectors:
-        return True
-    dim = len(vectors[0])
-    for k in range(dim):
-        vals = [v[k] for v in vectors]
-        if max(vals) - min(vals) > 1:
-            return False
-    return True
-
-
 # -- weights and orders ---------------------------------------------------
 
 
@@ -274,29 +237,83 @@ def is_flag(P, order, D):
     return Check(True)
 
 
+def _sum_code(points, D):
+    """Integer codes for sums of up to D of `points`, packed so that adding
+    codes adds the points.
+
+    Coordinate k is shifted by its least value lo_k over the points and
+    takes one digit of base D·(hi_k - lo_k) + 1.  A sum of N <= D points has
+    its k-th digit in [0, N·(hi_k - lo_k)], so no addition of codes carries
+    and the code of a sum is the sum of the codes.  Returns code(q, N): the
+    integer of q read as a sum of N points, or None when q lies outside N
+    times the points' bounding box, where no sum of N of them lies."""
+    if not points:
+        return lambda q, N: None
+    lo = [min(c) for c in zip(*points)]
+    span = [max(c) - m for c, m in zip(zip(*points), lo)]
+    place, scale = [], 1
+    for s in span:
+        place.append(scale)
+        scale *= D * s + 1
+
+    def code(q, N):
+        c = 0
+        for x, m, s, w in zip(q, lo, span, place):
+            x -= N * m
+            if not 0 <= x <= N * s:
+                return None
+            c += x * w
+        return c
+
+    return code
+
+
 def is_balanced(P, D):
     """Existential balancedness in lattice coordinates: every multiset of
     2..D lattice points admits a same-size, same-sum multiset of lattice
-    points whose coordinate slices are balanced.  That multiset is a
-    slice-balanced member of the same fiber, so one pass per degree flags the
-    fibers that have one; the witness is the first multiset of the first
-    unflagged fiber, the first multiset with no balanced rewrite."""
+    points whose coordinate slices are balanced (max - min <= 1).
+
+    A multiset is slice-balanced iff its points differ pairwise by at most 1
+    in every coordinate, so the balanced multisets are the multisets on the
+    cliques of that closeness graph.  A depth-first walk over those cliques
+    collects each degree's balanced sums, and P is balanced in degree N iff
+    they make up the whole N-fold sumset.  Sums are added as `_sum_code`
+    integers, which do not carry for up to D points.  On failure the witness
+    is the first multiset, in combination order, whose sum has no balanced
+    member: the first multiset of the first fiber with no balanced
+    rewrite."""
     pts = P.lattice_points(1)
     tpts = [P.transform_point(p) for p in pts]
     if len(set(tpts)) != len(tpts):
         raise NotTotal("lattice transform is not injective on points")
+    code = _sum_code(tpts, D)
+    codes = [code(q, 1) for q in tpts]
+    n = len(tpts)
+    # close[i]: the points from i on within 1 of point i in every coordinate
+    close = [{j for j in range(i, n) if all(
+        -1 <= a - b <= 1 for a, b in zip(tpts[i], tpts[j]))} for i in range(n)]
+    balanced = [set() for _ in range(D + 1)]
+
+    def walk(s, k, cand):
+        # s: the sum of k points; cand: the points from the last one chosen
+        # on that are close to every point chosen
+        if k + 1 == D:
+            balanced[D].update([s + codes[j] for j in cand])
+            return
+        for i, j in enumerate(cand):
+            t = s + codes[j]
+            balanced[k + 1].add(t)
+            walk(t, k + 1, [c for c in cand[i:] if c in close[j]])
+
+    if D > 1:
+        walk(0, 0, range(n))
+    sums = set(codes)
     for N in range(2, D + 1):
-        first = {}  # fiber target -> its first multiset
-        balanced = set()
-        for combo in combinations_with_replacement(tpts, N):
-            target = tuple(map(sum, zip(*combo)))
-            first.setdefault(target, combo)
-            if target not in balanced and is_slice_balanced(combo):
-                balanced.add(target)
-        for target, combo in first.items():
-            if target not in balanced:
-                native = sorted(pts[tpts.index(q)] for q in combo)
-                return Check(False, tuple(native))
+        sums = {s + c for s in sums for c in codes}
+        if len(sums) != len(balanced[N]):
+            for combo in combinations_with_replacement(range(n), N):
+                if sum(codes[i] for i in combo) not in balanced[N]:
+                    return Check(False, tuple(pts[i] for i in combo))
     return Check(True)
 
 

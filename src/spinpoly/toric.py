@@ -28,6 +28,7 @@ from .termorders import (
     monomials_by_image,
     standard_monomials,
     _fiber_minima,
+    _sum_code,
 )
 
 
@@ -135,13 +136,21 @@ def _trinode_weights(loop, known, n_new, NL):
 
 def is_normal(P, Dmax):
     """Degree-1 generation: every point of NP is a sum of N points of P,
-    for 2 <= N <= Dmax.  Returns Check(ok, (N, witness point))."""
-    gens = set(P.lattice_points(1))
-    reach = set(gens)
+    for 2 <= N <= Dmax.  Returns Check(ok, (N, witness point)), the witness
+    the first point of NP, in `lattice_points` order, that is no such sum.
+
+    The N-fold sumset of the degree-1 points is built from their
+    `_sum_code` integers, which add without carrying for N <= Dmax.  A point
+    of NP outside N times the degree-1 bounding box has no code and is no
+    sum; P has such points when it has vertices with denominator 2."""
+    gens = P.lattice_points(1)
+    code = _sum_code(gens, Dmax)
+    codes = [code(p, 1) for p in gens]
+    reach = set(codes)
     for N in range(2, Dmax + 1):
-        reach = {tuple(a + b for a, b in zip(p, q)) for p in reach for q in gens}
+        reach = {a + b for a in reach for b in codes}
         for pt in P.lattice_points(N):
-            if pt not in reach:
+            if code(pt, N) not in reach:
                 return Check(False, (N, pt))
     return Check(True)
 
@@ -208,9 +217,13 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     per extra component of monomials linked by shared points, count the
     degree-N minimal generators (Diaconis-Sturmfels 1998).
 
-    Normality, the prerequisite, is read from the same fibers: their images
-    are the N-fold sums of degree-1 points, so the first point of NP that is
-    not an image is the witness `is_normal` reports."""
+    Normality, the prerequisite, is checked by `is_normal` before any fiber
+    is built; a failure raises NormalityPrerequisiteFailed with its
+    witness."""
+    if check_normal:
+        chk = is_normal(P, Dmax)
+        if not chk.ok:
+            raise NormalityPrerequisiteFailed(chk.witness)
     overall = 1
     tight = []
     failed = []
@@ -218,10 +231,6 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     trees = {}
     for N in range(2, Dmax + 1):
         fibers = monomials_by_image(P, N)
-        if check_normal:
-            gap = next((b for b in P.lattice_points(N) if b not in fibers), None)
-            if gap is not None:
-                raise NormalityPrerequisiteFailed((N, gap))
         lower, trees = trees, {}
         minimal[N] = 0
         for b, fiber in fibers.items():
@@ -392,7 +401,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         if not is_compatible(g, r):
             raise HypothesisViolated("weights are not compatible with the graph")
         P = from_graph(g, r, level)
-        _require_degree_one_point(P, r, level)
+        require_degree_one_point(P, r, level)
         t1 = time.perf_counter()
         try:
             cert = relation_degree(P, 3, dmax)
@@ -422,7 +431,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         from .catp import boxtimes_assemble
 
         wp, assembly = boxtimes_assemble(g, r, level)
-        _require_degree_one_point(wp.polytope, r, level)
+        require_degree_one_point(wp.polytope, r, level)
         witnesses = []
         ok = True
         if name == "d2bp":
@@ -453,7 +462,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
     raise HypothesisViolated(f"unknown theorem {name!r}")
 
 
-def _require_degree_one_point(P, r, level):
+def require_degree_one_point(P, r, level):
     if not P.lattice_points(1):
         raise HypothesisViolated(
             f"P(graph, r={list(r)}, L={level}) has no degree-1 point")

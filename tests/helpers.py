@@ -19,7 +19,7 @@ from spinpoly.polytopes import (
     p3_fixed2,
     quadrant,
 )
-from spinpoly.termorders import monomials_by_image
+from spinpoly.termorders import Check, monomials_by_image
 from spinpoly.toric import GenerationCertificate
 
 
@@ -331,3 +331,55 @@ def fraction_glue_rows(f1, f2, d1):
         if len(s1) == 1 and len(s2) == 1 and r1[s1[0]] == r2[s2[0]]:
             glued.append((s1[0], d1 + s2[0]))
     return eqs, glued
+
+
+def balance_pair(x, y):
+    s = x + y
+    return (s // 2, s - s // 2)
+
+
+def balance_tuple(vectors):
+    """Repeated entrywise pairwise balancing to a fixpoint: the result has
+    the same vector sum and every coordinate slice balanced (max-min <= 1)."""
+    vecs = [list(v) for v in vectors]
+    if not vecs:
+        return ()
+    dim = len(vecs[0])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vecs)):
+            for j in range(i + 1, len(vecs)):
+                for k in range(dim):
+                    a, b = vecs[i][k], vecs[j][k]
+                    lo, hi = balance_pair(a, b)
+                    if (a, b) != (lo, hi) and abs(a - b) > 1:
+                        vecs[i][k], vecs[j][k] = lo, hi
+                        changed = True
+    return tuple(tuple(v) for v in vecs)
+
+
+def is_slice_balanced(vectors):
+    if not vectors:
+        return True
+    dim = len(vectors[0])
+    for k in range(dim):
+        vals = [v[k] for v in vectors]
+        if max(vals) - min(vals) > 1:
+            return False
+    return True
+
+
+def naive_is_normal(P, Dmax):
+    """is_normal by the tuple sumset: the N-fold sums of the degree-1 points
+    as coordinate tuples, and the first point of NP, for 2 <= N <= Dmax,
+    that is not one of them."""
+    gens = set(P.lattice_points(1))
+    reach = set(gens)
+    for N in range(2, Dmax + 1):
+        reach = {tuple(a + b for a, b in zip(p, q))
+                 for p in reach for q in gens}
+        for pt in P.lattice_points(N):
+            if pt not in reach:
+                return Check(False, (N, pt))
+    return Check(True)

@@ -28,11 +28,9 @@ from spinpoly.polytopes import (
     with_full_lattice,
 )
 from spinpoly.termorders import (
-    balance_tuple,
     fiber_set,
     is_balanced,
     is_flag,
-    is_slice_balanced,
     sigma2_lex_order,
     sigma_squared,
     standard_monomials,
@@ -46,6 +44,8 @@ from spinpoly.toric import (
     relation_degree,
     verify_theorem,
 )
+
+from helpers import balance_tuple, is_slice_balanced
 
 
 def report(criterion, ok, detail=""):

@@ -217,6 +217,19 @@ def test_verify_empty_polytope_exit_2(theorem, tmp_path, capsys):
     assert out == "" and "has no degree-1 point" in err
 
 
+@pytest.mark.parametrize("command", ["normal", "relations", "gb-check",
+                                     "balanced"])
+def test_check_on_empty_polytope_exit_2(command, tmp_path, capsys):
+    # as for verify: a check on no point would pass vacuously
+    p = tmp_path / "cat3.json"
+    p.write_text(json.dumps(graphs.caterpillar_tree(3).to_json_dict()))
+    assert run([command, "--graph", str(p), "--r", "2,2,2",
+                "--level", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "P(graph, r=[2, 2, 2], L=2) has no degree-1 point" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--theorem", "polypres", "--level", "2"],
     ["verify", "--theorem", "polyquad", "--level", "2"],

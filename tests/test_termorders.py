@@ -26,15 +26,12 @@ from spinpoly.termorders import (
     TermWeight,
     TotalOrder,
     b2_cascade_order,
-    balance_pair,
-    balance_tuple,
     boxtimes_order,
     fiber_set,
     has_unique_standard_monomials,
     initial_complex_maximal_faces,
     is_balanced,
     is_flag,
-    is_slice_balanced,
     monomials_by_image,
     sigma2_lex_order,
     sigma_squared,
@@ -42,7 +39,14 @@ from spinpoly.termorders import (
     _balanced_decomposition_exists,
 )
 
-from helpers import blocks_up_to_level_2, multiset_difference_size, naive_is_flag
+from helpers import (
+    balance_pair,
+    balance_tuple,
+    blocks_up_to_level_2,
+    is_slice_balanced,
+    multiset_difference_size,
+    naive_is_flag,
+)
 
 
 # -- balancing ------------------------------------------------------------
@@ -290,26 +294,35 @@ def _balanced_per_combination(P, D):
     return Check(True)
 
 
-def _balancedness_instances():
+def _raw_and_lattice(blocks):
     """Blocks in raw and, where they have a lattice map, lattice
-    coordinates; graph polytopes, which have none, in raw ones."""
-    for P in (*blocks_up_to_level_2(), quadrant(1, 3), quadrant(3, 3), p3(3)):
+    coordinates."""
+    for P in blocks:
         yield replace(P, to_lattice=None)
         if P.to_lattice:
             yield P
+
+
+def _balancedness_instances():
+    """Blocks in raw and lattice coordinates; graph polytopes, which have no
+    lattice map, in raw ones."""
+    yield from _raw_and_lattice(
+        (*blocks_up_to_level_2(), quadrant(1, 3), quadrant(3, 3), p3(3)))
     t4 = graphs.caterpillar_tree(4)
     for r in ((1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2), (2, 2, 0, 0)):
         yield from (from_graph(t4, r, L) for L in (1, 2, 3))
 
 
 def test_is_balanced_matches_per_combination_reference():
-    # flagging fibers by membership keeps the verdict and the first witness
-    checks = []
-    for P in _balancedness_instances():
-        chk = is_balanced(P, 3)
-        assert chk == _balanced_per_combination(P, 3)
-        checks.append(chk)
-    assert any(not c.ok for c in checks) and any(c.ok for c in checks)
+    # the clique walk keeps the verdict and the first witness
+    cases = [(P, 3) for P in _balancedness_instances()]
+    cases += [(P, 4) for P in _raw_and_lattice(blocks_up_to_level_2())]
+    verdicts = set()
+    for P, D in cases:
+        chk = is_balanced(P, D)
+        assert chk == _balanced_per_combination(P, D)
+        verdicts.add((D, chk.ok))
+    assert verdicts == {(3, True), (3, False), (4, True), (4, False)}
 
 
 def test_p3_fixed2_odd_pins_balanced_in_lattice_coordinates():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from spinpoly import graphs
+from spinpoly import graphs, toric
 from spinpoly.errors import (
     HypothesisViolated,
     LengthMismatch,
@@ -10,6 +10,7 @@ from spinpoly.errors import (
     NotTotal,
 )
 from spinpoly.polytopes import (
+    GradedPolytope,
     from_graph,
     interval,
     lattice_points,
@@ -42,6 +43,7 @@ from spinpoly.toric import (
 from helpers import (
     blocks_up_to_level_2,
     count_pair_standard_multisets,
+    naive_is_normal,
     naive_relation_degree,
 )
 
@@ -149,6 +151,44 @@ def test_cubic_region_normal():
     assert is_normal(trinode_cubic_region(), 4).ok
 
 
+def _normality_instances():
+    """(P, Dmax): the benchmark's graphs at L = 4 on both lattices; the two
+    recorded non-normal graph polytopes; cat6 at odd L, whose NP has points
+    outside N times the degree-1 bounding box; the triangle 2x + 5y <= 5 at
+    Dmax = 2, where (5, 0) in 2P, unguarded, would take the code of
+    (0, 1) + (0, 0); a polytope with negative coordinates; and one with no
+    degree-1 point but points at N = 2."""
+    for g in (graphs.caterpillar_tree(6),
+              graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1), dbl4()):
+        P = from_graph(g, (2,) * g.n_leaves, 4)
+        yield from ((P, 4), (with_full_lattice(P), 4))
+    yield from_graph(graphs.enumerate_graphs(2, 1)[1], (0,), 3), 3
+    yield from_graph(graphs.enumerate_graphs(0, 6)[0], (1,) * 6, 2), 3
+    yield from_graph(graphs.caterpillar_tree(6), (2,) * 6, 3), 4
+    yield GradedPolytope(2, (((-1, 0), 0), ((0, -1), 0), ((2, 5), 5)), ()), 2
+    yield with_full_lattice(quadrant(2, 2)), 4
+    yield from_graph(graphs.caterpillar_tree(3), (1, 1, 1), 2), 3
+
+
+def test_is_normal_matches_tuple_sumset_reference():
+    # packed sums keep the verdict and the witness, (N, first point of NP
+    # that is no sum of N degree-1 points)
+    verdicts = []
+    for P, D in _normality_instances():
+        chk = is_normal(P, D)
+        assert chk == naive_is_normal(P, D)
+        verdicts.append(chk.ok)
+    assert verdicts.count(False) == 5 and verdicts.count(True) == 7
+    # the box guard is reached: 2P has a point outside twice the bounding
+    # box of P's points
+    P = from_graph(graphs.caterpillar_tree(6), (2,) * 6, 3)
+    box = list(zip(*P.lattice_points(1)))
+    assert any(not 2 * min(c) <= x <= 2 * max(c)
+               for q in P.lattice_points(2) for x, c in zip(q, box))
+    negative = with_full_lattice(quadrant(2, 2))
+    assert min(map(min, negative.lattice_points(1))) < 0
+
+
 # -- relation degree ------------------------------------------------------
 
 
@@ -221,9 +261,13 @@ def test_minimal_relation_counts(P, counts):
     assert cert.minimal_relations == counts
 
 
-def test_relation_degree_requires_normality():
-    # the prerequisite is read from relation_degree's own fibers, and names
-    # the same (N, point) as is_normal's sumset pass
+def test_relation_degree_requires_normality(monkeypatch):
+    # the prerequisite is is_normal's, raised with its (N, point) witness
+    # before any fiber is built
+    def no_fibers(P, N):
+        raise AssertionError(f"degree-{N} fibers built")
+
+    monkeypatch.setattr(toric, "monomials_by_image", no_fibers)
     for P, D in [
         (with_full_lattice(p3(1)), 4),
         (from_graph(graphs.enumerate_graphs(2, 1)[1], (0,), 3), 3),
