@@ -13,7 +13,7 @@ from .errors import (
     NonUniqueBase,
     NotAPolytopeMap,
 )
-from .graphs import explode, validate
+from .graphs import doubled_pairs, explode, validate
 from .polytopes import assemble, fiber_product
 from .termorders import (
     Check,
@@ -207,11 +207,9 @@ def component_total_order(P, frag, kind):
     """Total order for an exploded component of block kind `kind`: a
     `loop_b2` block gets the (x,z,A,B) cascade, any other fragment without a
     doubled pair Σ² + lex on lattice coordinates."""
-    from .polytopes import _doubled_pairs
-
     if kind == "loop_b2":
         return b2_cascade_order(P.transform_point)
-    if _doubled_pairs(frag):
+    if doubled_pairs(frag.edges):
         raise HypothesisViolated(
             f"a {len(frag.edges)}-edge fragment with a doubled pair is not a "
             f"loop_b2 block: no total order is known for it")

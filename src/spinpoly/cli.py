@@ -30,11 +30,17 @@ def _int_list(text):
     return [int(x) for x in text.split(",")]
 
 
-def _degree_bound(text):
-    d = int(text)
-    if d < 2:
-        raise argparse.ArgumentTypeError(f"degree bound {d} must be >= 2")
-    return d
+def _at_least(least, what):
+    """An argparse type: an integer `what` of at least `least`."""
+    def bound(text):
+        d = int(text)
+        if d < least:
+            raise argparse.ArgumentTypeError(f"{what} {d} must be >= {least}")
+        return d
+    return bound
+
+
+_degree_bound = _at_least(2, "degree bound")
 
 
 _LEVEL_HELP = "the SL2 level L: each trinode's weight sum is at most 2L"
@@ -67,7 +73,8 @@ def _build_parser():
 
     sp = sub.add_parser("hilbert", help="lattice point counts per dilation")
     add_graph_args(sp)
-    sp.add_argument("--max-dilation", type=int, default=3)
+    sp.add_argument("--max-dilation", type=_at_least(0, "dilation bound"),
+                    default=3)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     add_lattice_arg(sp)
 
@@ -104,7 +111,8 @@ def _build_parser():
     sp.add_argument("--level", type=int, help=_LEVEL_HELP)
     sp.add_argument("--genus", type=int)
     sp.add_argument("--leaves", type=int)
-    sp.add_argument("--max-dilation", type=int, default=3)
+    sp.add_argument("--max-dilation", type=_at_least(1, "dilation bound"),
+                    default=3)
     sp.add_argument("--dmax", type=_degree_bound, default=4)
     sp.add_argument("--out")
 

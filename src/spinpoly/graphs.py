@@ -5,9 +5,10 @@ allowed) with its degree-1 vertices labeled 1..n.  These are the spin-diagram
 skeletons whose edge weightings the polytope modules enumerate.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from itertools import chain, permutations, product
 import json
 
 from .errors import (
@@ -27,8 +28,41 @@ class GraphClass(Enum):
     OTHER_TRIVALENT = "other_trivalent"
 
 
+class _Incidence:
+    """Incidence reads shared by marked graphs and their fragments, which
+    hold `vertices`, `edges` (unordered pairs; a loop (v, v) counts twice at
+    v) and `leaves` ((label, vertex) pairs sorted by label).  Every vertex
+    has degree 1 or 3."""
+
+    @property
+    def leaf_map(self):
+        return dict(self.leaves)
+
+    def degree(self, v):
+        return sum((a == v) + (b == v) for a, b in self.edges)
+
+    def incident_edges(self, v):
+        """Edge indices at v, loops listed twice."""
+        out = []
+        for i, (a, b) in enumerate(self.edges):
+            if a == v:
+                out.append(i)
+            if b == v:
+                out.append(i)
+        return out
+
+    def leaf_edge_index(self, label):
+        return self.incident_edges(self.leaf_map[label])[0]
+
+    @property
+    def internal_vertices(self):
+        """The trivalent vertices, in vertex order."""
+        ends = Counter(chain.from_iterable(self.edges))
+        return tuple(v for v in self.vertices if ends[v] != 1)
+
+
 @dataclass(frozen=True)
-class MarkedGraph:
+class MarkedGraph(_Incidence):
     """Connected trivalent multigraph with labeled degree-1 leaves.
 
     edges are unordered pairs; a loop is encoded as (v, v) and contributes 2
@@ -58,66 +92,28 @@ class MarkedGraph:
         if len(set(lmap.values())) != len(lmap):
             raise BadLeafLabels("a vertex carries two leaf labels")
 
-        deg1 = {v for v in self.vertices if self.degree(v) == 1}
+        nbrs = _neighbours(self.vertices, self.edges)
+        deg1 = {v for v in self.vertices if len(nbrs[v]) == 1}
         if set(lmap.values()) != deg1:
             raise BadLeafLabels(
                 f"labels cover {sorted(map(str, lmap.values()))}, degree-1 "
                 f"vertices are {sorted(map(str, deg1))}"
             )
         for v in self.vertices:
-            if v not in deg1 and self.degree(v) != 3:
-                raise NonTrivalent(f"vertex {v!r} has degree {self.degree(v)}")
+            if v not in deg1 and len(nbrs[v]) != 3:
+                raise NonTrivalent(f"vertex {v!r} has degree {len(nbrs[v])}")
 
-        if not _connected(self.vertices, self.edges):
+        if len(_reach(nbrs, self.vertices[0])) != len(self.vertices):
             raise Disconnected("graph is not connected")
-
-    @property
-    def leaf_map(self):
-        return dict(self.leaves)
 
     @property
     def n_leaves(self):
         return len(self.leaves)
 
-    def degree(self, v):
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
-
     @property
     def genus(self):
         # first Betti number of a connected graph
         return len(self.edges) - len(self.vertices) + 1
-
-    @property
-    def leaf_vertices(self):
-        return frozenset(v for _, v in self.leaves)
-
-    @property
-    def internal_vertices(self):
-        leafset = self.leaf_vertices
-        return tuple(v for v in self.vertices if v not in leafset)
-
-    def incident_edges(self, v):
-        """Edge indices at v, loops listed twice."""
-        out = []
-        for i, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append(i)
-            if b == v:
-                out.append(i)
-        return out
-
-    def leaf_edge_index(self, label):
-        v = self.leaf_map[label]
-        for i, (a, b) in enumerate(self.edges):
-            if v in (a, b):
-                return i
-        raise BadLeafLabels(f"leaf {label} vertex {v!r} has no edge")
 
     def to_json_dict(self):
         return {
@@ -140,21 +136,50 @@ def validate(raw):
         tuple(sorted((int(k), v) for k, v in dict(raw["leaves"]).items())))
 
 
-def _connected(vertices, edges):
-    if not vertices:
-        return False
-    adj = {v: set() for v in vertices}
+def weighted_graph(g, r):
+    """g validated, with one leaf weight in r per leaf."""
+    g = validate(g)
+    if len(r) != g.n_leaves:
+        raise LengthMismatch(f"{len(r)} weights for {g.n_leaves} leaves")
+    return g
+
+
+def _neighbours(vertices, edges):
+    """v -> the far end of each edge end at v, in edge order (a loop gives v
+    twice), so len(nbrs[v]) is the degree of v."""
+    nbrs = {v: [] for v in vertices}
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
+
+
+def _reach(nbrs, start):
+    """The set of vertices joined to `start` in the neighbour map `nbrs`."""
+    seen = {start}
+    stack = [start]
     while stack:
-        for w in adj[stack.pop()]:
+        for w in nbrs[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(vertices)
+    return seen
+
+
+def _connected(vertices, edges):
+    return bool(vertices) and \
+        len(_reach(_neighbours(vertices, edges), vertices[0])) == len(vertices)
+
+
+def doubled_pairs(edges):
+    """Index pairs of the doubled edges: non-loop edges whose end pair
+    occurs exactly twice (a tripled pair is none), in order of first
+    occurrence."""
+    at = {}
+    for i, (a, b) in enumerate(edges):
+        if a != b:
+            at.setdefault(frozenset((a, b)), []).append(i)
+    return [tuple(ix) for ix in at.values() if len(ix) == 2]
 
 
 def graph_from_json(text):
@@ -166,15 +191,11 @@ def graph_from_json(text):
 
 def _is_trivalent_tree(vertices, edges):
     """Tree with all degrees in {1, 3} (degree-0 single vertex rejected)."""
-    if len(edges) != len(vertices) - 1 or not _connected(vertices, edges):
+    if len(edges) != len(vertices) - 1:
         return False
-    deg = {v: 0 for v in vertices}
-    for a, b in edges:
-        if a == b:
-            return False
-        deg[a] += 1
-        deg[b] += 1
-    return all(d in (1, 3) for d in deg.values())
+    nbrs = _neighbours(vertices, edges)
+    return all(len(ws) in (1, 3) for ws in nbrs.values()) and \
+        len(_reach(nbrs, vertices[0])) == len(vertices)
 
 
 def _is_caterpillar_tree(vertices, edges):
@@ -182,40 +203,27 @@ def _is_caterpillar_tree(vertices, edges):
     vertex (spine vertices all touch leaves)."""
     if not _is_trivalent_tree(vertices, edges):
         return False
-    deg = {v: 0 for v in vertices}
-    adj = {v: set() for v in vertices}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].add(b)
-        adj[b].add(a)
-    leaves = {v for v in vertices if deg[v] == 1}
     if len(vertices) == 2:
         return True  # single edge between two leaves
-    return all(v in leaves or adj[v] & leaves for v in vertices)
+    nbrs = _neighbours(vertices, edges)
+    return all(len(ws) == 1 or any(len(nbrs[w]) == 1 for w in ws)
+               for ws in nbrs.values())
 
 
 def _loop_indices(g):
     return [i for i, (a, b) in enumerate(g.edges) if a == b]
 
 
-def _head_tail_vertices(vertices, edges):
-    """Vertices adjacent to >= 2 degree-1 vertices of a caterpillar tree
-    (its head and tail), plus degree-1 vertices whose neighbor has another
-    degree-1 neighbor (the paired leaves themselves)."""
-    deg = {v: 0 for v in vertices}
-    adj = {v: [] for v in vertices}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-        adj[a].append(b)
-        adj[b].append(a)
-    leaves = {v for v in vertices if deg[v] == 1}
-    heads = {v for v in vertices if len([w for w in adj[v] if w in leaves]) >= 2}
+def _paired_leaves(vertices, edges):
+    """The degree-1 vertices of a caterpillar tree whose neighbour has
+    another degree-1 neighbour (the leaves at its head and tail); both ends
+    of a single edge."""
     if len(vertices) == 2 and len(edges) == 1:
-        heads = set(vertices)
-    paired = {v for v in leaves if adj[v][0] in heads}
-    return heads, paired
+        return set(vertices)
+    nbrs = _neighbours(vertices, edges)
+    leaves = {v for v, ws in nbrs.items() if len(ws) == 1}
+    return {v for v in leaves
+            if sum(w in leaves for w in nbrs[nbrs[v][0]]) >= 2}
 
 
 def _is_caterpillar_graph(g):
@@ -231,25 +239,15 @@ def _is_caterpillar_graph(g):
         rest = [e for j, e in enumerate(g.edges) if j != i]
         if sum(1 for a, b in rest if v in (a, b)) != 1:
             continue
-        if not _is_caterpillar_tree(g.vertices, rest):
-            continue
-        _, paired = _head_tail_vertices(g.vertices, rest)
-        if v in paired:
+        if _is_caterpillar_tree(g.vertices, rest) and \
+                v in _paired_leaves(g.vertices, rest):
             return True
 
     # (b) undo a doubled edge: two parallel edges a--b where a and b each
     # have exactly one further edge (to u and v); contracting the gadget to
     # an edge u--v must give a caterpillar tree.
-    from collections import Counter
-
-    pair_count = Counter()
-    for a, b in g.edges:
-        if a != b:
-            pair_count[frozenset((a, b))] += 1
-    for pair, cnt in pair_count.items():
-        if cnt != 2:
-            continue
-        a, b = tuple(pair)
+    for i, _ in doubled_pairs(g.edges):
+        a, b = g.edges[i]
         others_a = [e for e in g.edges if a in e and b not in e]
         others_b = [e for e in g.edges if b in e and a not in e]
         if len(others_a) != 1 or len(others_b) != 1:
@@ -299,37 +297,26 @@ def classify(g):
 def is_compatible(g, r):
     """True iff every odd-weighted leaf shares its trinode with another
     odd-weighted leaf."""
-    g = validate(g)
-    if len(r) != g.n_leaves:
-        raise LengthMismatch(f"{len(r)} weights for {g.n_leaves} leaves")
-    lmap = g.leaf_map
-    odd = [lab for lab, w in zip(sorted(lmap), r) if w % 2]
-    # attachment vertex of each leaf (its unique neighbor)
-    attach = {}
-    for lab in odd:
-        v = lmap[lab]
-        for a, b in g.edges:
-            if a == v:
-                attach[lab] = b
-            elif b == v:
-                attach[lab] = a
-    for lab in odd:
-        mates = [m for m in odd if m != lab and attach.get(m) == attach[lab]]
-        if not mates:
-            return False
-    return True
+    g = weighted_graph(g, r)
+    nbrs = _neighbours(g.vertices, g.edges)
+    # attachment vertex of each odd leaf (its unique neighbour)
+    attach = [nbrs[v][0] for (_, v), w in zip(g.leaves, r) if w % 2]
+    return all(attach.count(a) > 1 for a in attach)
 
 
 # -- explode ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class GraphFragment:
-    """A component of an exploded graph.
+class GraphFragment(_Incidence):
+    """A component of an exploded graph, read through the same incidence
+    methods as a MarkedGraph.
 
-    stub_edges are the indices (into `edges`) of cut half-edges; their far
-    endpoint is a synthetic degree-1 vertex carrying no leaf label.
-    original_edges[i] is the index of edges[i] in the source graph.
+    vertices are in the source graph's vertex order, then the stubs: the
+    synthetic degree-1 vertices ("stub", i, side) that end the half-edges of
+    cut edge i, which carry no leaf label.  stub_edges are the indices (into
+    `edges`) of those half-edges.  original_edges[i] is the index of
+    edges[i] in the source graph.
     """
 
     vertices: tuple
@@ -337,31 +324,6 @@ class GraphFragment:
     leaves: tuple
     stub_edges: tuple
     original_edges: tuple
-
-    @property
-    def leaf_map(self):
-        return dict(self.leaves)
-
-    def degree(self, v):
-        d = 0
-        for a, b in self.edges:
-            d += (a == v) + (b == v)
-        return d
-
-    @property
-    def internal_vertices(self):
-        skip = {v for _, v in self.leaves}
-        skip |= {v for v in self.vertices if isinstance(v, tuple) and v and v[0] == "stub"}
-        return tuple(v for v in self.vertices if v not in skip and self.degree(v) != 1)
-
-    def incident_edges(self, v):
-        out = []
-        for i, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append(i)
-            if b == v:
-                out.append(i)
-        return out
 
 
 @dataclass(frozen=True)
@@ -372,22 +334,16 @@ class ExplodedGraph:
 
 
 def _bridges(g):
-    """Indices of separating edges (loops and parallel edges never qualify)."""
-    from collections import Counter
-
-    pair_count = Counter(frozenset(e) for e in g.edges if e[0] != e[1])
-    out = []
-    for i, (a, b) in enumerate(g.edges):
-        if a == b or pair_count[frozenset((a, b))] > 1:
-            continue
-        rest = [e for j, e in enumerate(g.edges) if j != i]
-        if not _connected(g.vertices, rest):
-            out.append(i)
-    return out
+    """Indices of separating edges: those whose removal disconnects g.  A
+    loop, or an edge with a parallel twin, is never one: the other edges
+    still join its ends."""
+    return [i for i in range(len(g.edges))
+            if not _connected(g.vertices, g.edges[:i] + g.edges[i + 1:])]
 
 
 def explode(g):
-    """Cut every separating non-leaf edge into two half-edges."""
+    """Cut every separating non-leaf edge into two half-edges.  Components
+    are numbered by their first vertex and list their vertices in order."""
     g = validate(g)
     leaf_edge_idx = {g.leaf_edge_index(lab) for lab, _ in g.leaves}
     cuts = [i for i in _bridges(g) if i not in leaf_edge_idx]
@@ -395,74 +351,42 @@ def explode(g):
     verts = list(g.vertices)
     edges = []
     edge_origin = []
-    stub_of_cut = {}  # cut edge index -> (edge slot for a-side, edge slot for b-side)
+    stub_slots = {}  # cut edge index -> (edge slot for a-side, edge slot for b-side)
     for i, (a, b) in enumerate(g.edges):
         if i in cuts:
             sa, sb = ("stub", i, 0), ("stub", i, 1)
             verts += [sa, sb]
-            edges.append((a, sa))
-            edge_origin.append(i)
-            edges.append((b, sb))
-            edge_origin.append(i)
-            stub_of_cut[i] = (len(edges) - 2, len(edges) - 1)
+            stub_slots[i] = (len(edges), len(edges) + 1)
+            edges += [(a, sa), (b, sb)]
+            edge_origin += [i, i]
         else:
             edges.append((a, b))
             edge_origin.append(i)
 
-    # connected components of the cut graph
-    adj = {v: set() for v in verts}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    comp_of = {}
-    comps = []
+    # connected components of the cut graph, numbered by first vertex
+    nbrs = _neighbours(verts, edges)
+    comp_of, n = {}, 0
     for v in verts:
-        if v in comp_of:
-            continue
-        comp = []
-        stack = [v]
-        comp_of[v] = len(comps)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for w in adj[x]:
-                if w not in comp_of:
-                    comp_of[w] = len(comps)
-                    stack.append(w)
-        comps.append(comp)
+        if v not in comp_of:
+            comp_of.update(dict.fromkeys(_reach(nbrs, v), n))
+            n += 1
 
-    lmap = g.leaf_map
+    stubs = {slot for pair in stub_slots.values() for slot in pair}
     fragments = []
     global_to_local = {}  # global edge slot -> (component, local index)
-    for ci, comp in enumerate(comps):
-        cset = set(comp)
-        local_edges = []
-        local_origin = []
-        local_stubs = []
-        local_leaves = []
-        for gi, (a, b) in enumerate(edges):
-            if a in cset or b in cset:
-                global_to_local[gi] = (ci, len(local_edges))
-                if isinstance(b, tuple) and b and b[0] == "stub":
-                    local_stubs.append(len(local_edges))
-                local_edges.append((a, b))
-                local_origin.append(edge_origin[gi])
-        for lab, v in g.leaves:
-            if v in cset:
-                local_leaves.append((lab, v))
-        fragments.append(
-            GraphFragment(
-                vertices=tuple(comp),
-                edges=tuple(local_edges),
-                leaves=tuple(local_leaves),
-                stub_edges=tuple(local_stubs),
-                original_edges=tuple(local_origin),
-            )
-        )
+    for c in range(n):
+        slots = [gi for gi, (a, _) in enumerate(edges) if comp_of[a] == c]
+        global_to_local.update((gi, (c, k)) for k, gi in enumerate(slots))
+        fragments.append(GraphFragment(
+            vertices=tuple(v for v in verts if comp_of[v] == c),
+            edges=tuple(edges[gi] for gi in slots),
+            leaves=tuple((lab, v) for lab, v in g.leaves if comp_of[v] == c),
+            stub_edges=tuple(k for k, gi in enumerate(slots) if gi in stubs),
+            original_edges=tuple(edge_origin[gi] for gi in slots)))
 
     split_records = tuple(
         (i, global_to_local[sa], global_to_local[sb])
-        for i, (sa, sb) in sorted(stub_of_cut.items())
+        for i, (sa, sb) in sorted(stub_slots.items())
     )
     return ExplodedGraph(tuple(fragments), split_records, g)
 
@@ -596,8 +520,10 @@ def _canonical_key(n, combo, assign):
     labels, then adds its neighbours' colours (with edge multiplicity) until
     no colour class splits.  The key is the least (edges, att) relabelling
     that keeps each colour class in its own block, blocks in colour order."""
-    nbrs = [[j for i, j in combo if i == v != j] + [i for i, j in combo if j == v != i]
-            for v in range(n)]
+    # a loop lists v among its own neighbours; vertices of one colour have
+    # as many loops, so this adds the same colours to both sides of every
+    # comparison, and the refinement and its ranks are those without loops
+    nbrs = _neighbours(range(n), combo)
     colour = _ranks([(combo.count((v, v)), tuple(k for k, a in enumerate(assign) if a == v))
                      for v in range(n)])
     while max(colour) + 1 < n:

@@ -14,11 +14,10 @@ from math import gcd, lcm
 from .errors import (
     BaseMismatch,
     InvalidParams,
-    LengthMismatch,
     ParityViolation,
     Unbounded,
 )
-from .graphs import GraphFragment, explode, validate
+from .graphs import doubled_pairs, weighted_graph
 
 INF = float("inf")
 
@@ -268,12 +267,21 @@ def _trinode_rows(dim, inc, L):
     return ineqs, tuple(inc)
 
 
-def weighted_graph(g, r):
-    """g validated, with one leaf weight in r per leaf."""
-    g = validate(g)
-    if len(r) != g.n_leaves:
-        raise LengthMismatch(f"{len(r)} weights for {g.n_leaves} leaves")
-    return g
+def _graph_system(g, pins, L):
+    """The rows shared by graph and fragment polytopes, as (ineqs, eqs,
+    psets): every edge weight >= 0, the trinode rows of each internal vertex
+    in vertex order, and the leaf edge of each of g.leaves pinned to its
+    entry of `pins`."""
+    dim = len(g.edges)
+    ineqs = [(_unit(dim, i, -1), 0) for i in range(dim)]
+    psets = []
+    for v in g.internal_vertices:
+        rows, pset = _trinode_rows(dim, g.incident_edges(v), L)
+        ineqs.extend(rows)
+        psets.append(pset)
+    eqs = [(_unit(dim, g.leaf_edge_index(lab)), w)
+           for (lab, _), w in zip(g.leaves, pins)]
+    return ineqs, eqs, psets
 
 
 def from_graph(g, r, L):
@@ -283,31 +291,8 @@ def from_graph(g, r, L):
     if L < 0:
         raise InvalidParams(f"level L = {L} must be >= 0")
     g = weighted_graph(g, r)
-    dim = len(g.edges)
-    ineqs = [(_unit(dim, i, -1), 0) for i in range(dim)]
-    psets = []
-    for v in g.internal_vertices:
-        inc = g.incident_edges(v)
-        rows, pset = _trinode_rows(dim, inc, L)
-        ineqs.extend(rows)
-        psets.append(pset)
-    eqs = []
-    for lab, _ in g.leaves:
-        eqs.append((_unit(dim, g.leaf_edge_index(lab)), r[lab - 1]))
-    return GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets))
-
-
-def _doubled_pairs(frag):
-    """Index pairs of parallel (doubled) edges in a fragment."""
-    from collections import Counter
-
-    cnt = Counter()
-    for i, (a, b) in enumerate(frag.edges):
-        if a != b:
-            cnt[frozenset((a, b))] += 1
-    return [tuple(i for i, (a, b) in enumerate(frag.edges)
-                  if a != b and frozenset((a, b)) == key)
-            for key, c in cnt.items() if c == 2]
+    ineqs, eqs, psets = _graph_system(g, r, L)
+    return GradedPolytope(len(g.edges), tuple(ineqs), tuple(eqs), tuple(psets))
 
 
 def _parity_span(psets):
@@ -339,25 +324,15 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
     ((y1-y2)/2, (y1+y2)/2), even edges are halved, and every other edge
     stays."""
     dim = len(frag.edges)
-    ineqs = [(_unit(dim, i, -1), 0) for i in range(dim)]
-    psets = []
-    for v in frag.internal_vertices:
-        inc = frag.incident_edges(v)
-        rows, pset = _trinode_rows(dim, inc, L)
-        ineqs.extend(rows)
-        psets.append(pset)
-    eqs = []
-    for lab, _ in frag.leaves:
-        v = frag.leaf_map[lab]
-        e = frag.incident_edges(v)[0]
-        eqs.append((_unit(dim, e), r_map[lab]))
+    ineqs, eqs, psets = _graph_system(
+        frag, [r_map[lab] for lab, _ in frag.leaves], L)
     to_lattice = None
     if even_stubs:
         for e in frag.stub_edges:
             psets.append((e,))
         even = _parity_span(psets + [(row.index(1),) for row, r in eqs
                                      if r % 2 == 0])
-        pairs = [pair for pair in _doubled_pairs(frag) if even(*pair)]
+        pairs = [pair for pair in doubled_pairs(frag.edges) if even(*pair)]
         paired = {i for pair in pairs for i in pair}
         rows = [_unit(dim, i, 1 if even(i) else 2)
                 for i in range(dim) if i not in paired]
@@ -587,7 +562,7 @@ def recognize_block(frag):
     """The building block a fragment is, by name (loop_b2 | loop_b | p3 |
     p3_fixed1 | p3_fixed2), or "fragment" when it is none of them."""
     loops = [i for i, (a, b) in enumerate(frag.edges) if a == b]
-    pairs = _doubled_pairs(frag)
+    pairs = doubled_pairs(frag.edges)
     internal = frag.internal_vertices
     n_leaf = len(frag.leaves)
     if pairs and len(internal) == 2 and len(frag.edges) == 4:
@@ -614,9 +589,7 @@ def assemble(eg, r, L, even_interior=False):
     The result has one coordinate per component edge (split edges appear once
     per side, glued by an equality); its lattice point count matches the
     source graph polytope in every dilation."""
-    if len(r) != eg.source.n_leaves:
-        raise LengthMismatch(f"{len(r)} weights for {eg.source.n_leaves} leaves")
-    r_map = {lab: r[lab - 1] for lab, _ in eg.source.leaves}
+    r_map = {lab: r[lab - 1] for lab, _ in weighted_graph(eg.source, r).leaves}
     comps = []
     for frag in eg.components:
         P = fragment_polytope(frag, r_map, L, even_stubs=even_interior)

@@ -18,9 +18,10 @@ from .graphs import (
     enumerate_graphs,
     is_compatible,
     validate,
+    weighted_graph,
     _is_tree_like,
 )
-from .polytopes import from_graph, weighted_graph
+from .polytopes import from_graph
 from .termorders import (
     Check,
     TotalOrder,
@@ -348,8 +349,8 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
       degree <= 3.
     polyquad, L >= 0: caterpillar + even r: quadratic square-free GB under
       the assembled concatenation order.
-    invariance, L >= 0: Hilbert tables, by `hilbert_by_fusion`, agree
-      across all graphs with (genus, leaves).
+    invariance, L >= 0, nmax >= 1: Hilbert tables to dilation nmax, by
+      `hilbert_by_fusion`, agree across all graphs with (genus, leaves).
     d2bp, L >= 0: caterpillar tree + even r: the assembly is a fiber
       product of <= 2-dimensional balanced blocks and its GB check passes.
 
@@ -367,6 +368,9 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
     if name == "invariance":
         if genus is None or leaves is None or r is None:
             raise HypothesisViolated("invariance needs genus, leaves, r")
+        if nmax < 1:
+            # no table below dilation 1 reads a degree-1 point
+            raise HypothesisViolated(f"dilation bound nmax = {nmax} must be >= 1")
         gs = enumerate_graphs(genus, leaves)
         if not gs:
             raise HypothesisViolated(f"no graph has genus {genus} and {leaves} leaves")

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -244,12 +248,50 @@ def test_check_on_empty_polytope_exit_2(command, tmp_path, capsys):
     ["balanced", "--r", "2,2,2,2", "--level", "2", "--depth", "1"],
     ["normal", "--r", "2,2,2,2", "--level", "-1"],
     ["balanced", "--r", "2,2,2,2", "--level", "-2"],
+    ["hilbert", "--r", "2,2,2,2", "--level", "2", "--max-dilation", "-1"],
+    ["verify", "--theorem", "invariance", "--genus", "0", "--leaves", "4",
+     "--r", "1,1,2,2", "--level", "2", "--max-dilation", "0"],
+    ["verify", "--theorem", "invariance", "--genus", "0", "--leaves", "4",
+     "--r", "1,1,2,2", "--level", "2", "--max-dilation", "-1"],
 ])
 def test_bad_input_exit_2(argv, t4_path, capsys):
     # each used to raise, or to exit 0 having checked nothing
     assert run(argv[:1] + ["--graph", t4_path] + argv[1:]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error" in err
+
+
+_EVERY_COMMAND = """
+import sys
+from spinpoly.cli import run
+g, gr = ["--graph", sys.argv[1]], ["--r", "2,2,2,2", "--level", "2"]
+for argv in (["points", *g, *gr], ["hilbert", *g, *gr],
+             ["normal", *g, *gr], ["relations", *g, *gr],
+             ["gb-check", *g, *gr], ["balanced", *g, *gr], ["explode", *g],
+             ["blocks", *g, *gr], ["graphs", "--genus", "1", "--leaves", "2"]):
+    print(argv[0], run(argv), flush=True)
+"""
+
+
+def test_reports_do_not_follow_the_hash_seed(tmp_path):
+    # one process per seed runs every graph subcommand on the doubled-edge
+    # caterpillar; string hashing orders sets of vertex names differently
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    path = tmp_path / "dbl4.json"
+    path.write_text(json.dumps(
+        graphs.double_edge_at(t4, internal[0]).to_json_dict()))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _EVERY_COMMAND, str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        for seed in ("1", "2")]
+    (out1, err1), (out2, err2) = (p.communicate(timeout=60) for p in procs)
+    assert [p.returncode for p in procs] == [0, 0], (err1, err2)
+    assert out1.count(b"explode 0") == 1
+    assert out1 == out2
 
 
 def test_verify_move_max_rejected(loopy_path, capsys):

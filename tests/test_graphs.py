@@ -1,6 +1,7 @@
 from functools import lru_cache
 from itertools import combinations
 import json
+import re
 
 import networkx as nx
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpoly import graphs
+from spinpoly.catp import boxtimes_assemble
 from spinpoly.errors import (
     BadLeafLabels,
     BoundsTooLarge,
     Disconnected,
+    HypothesisViolated,
     InvalidParams,
     LengthMismatch,
     NonTrivalent,
@@ -166,6 +169,45 @@ def test_explode_tree_like_g1_n2():
     shapes = sorted((len(f.edges), len(f.stub_edges), len(f.leaves))
                     for f in eg.components)
     assert shapes == [(2, 1, 0), (3, 1, 2)]  # loop-with-edge + trinode
+
+
+def test_doubled_pairs():
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    dbl4 = graphs.double_edge_at(t4, internal[0])
+    theta = graphs.enumerate_graphs(2, 0)[1]
+    assert theta.edges == ((0, 1),) * 3
+    assert graphs.doubled_pairs(theta.edges) == []  # a tripled pair is none
+    assert graphs.doubled_pairs(loop_with_leaf().edges) == []
+    assert graphs.doubled_pairs(dbl4.edges) == [(5, 6)]
+    g = graphs.enumerate_graphs(2, 1)[2]
+    (frag,) = [f for f in graphs.explode(g).components if len(f.edges) == 5]
+    assert graphs.doubled_pairs(frag.edges) == [(0, 1)]
+    # the pair is refused outside a loop_b2 block, in the same words
+    with pytest.raises(HypothesisViolated, match=re.escape(
+            "a 5-edge fragment with a doubled pair is not a loop_b2 block: "
+            "no total order is known for it")):
+        boxtimes_assemble(g, (2,), 2)
+
+
+BRIDGE_FAMILIES = [(0, n) for n in range(3, 7)] + [(1, n) for n in range(1, 5)] \
+    + [(2, n) for n in range(4)]
+
+
+@pytest.mark.parametrize("genus,n", BRIDGE_FAMILIES)
+def test_bridges_skip_loops_and_parallel_edges(genus, n):
+    # networkx decides which edges separate the multigraph
+    for g in graphs.enumerate_graphs(genus, n):
+        bridges = graphs._bridges(g)
+        ends = [frozenset(e) for e in g.edges]
+        for i in bridges:
+            a, b = g.edges[i]
+            assert a != b and ends.count(ends[i]) == 1
+        for i in range(len(g.edges)):
+            G = _nx_graph(g)
+            G.remove_edge(*g.edges[i])
+            assert (i in bridges) == (not nx.is_connected(G))
 
 
 def test_explode_reglue_identity():

@@ -478,6 +478,14 @@ def test_invariance():
     assert set(cert.timings) == {"graphs", "counts", "total"}
 
 
+@pytest.mark.parametrize("nmax", [0, -1])
+def test_invariance_rejects_dilation_bound_below_1(nmax):
+    # no table below dilation 1 can show a degree-1 point
+    with pytest.raises(HypothesisViolated, match=f"nmax = {nmax} must be >= 1"):
+        verify_theorem("invariance", genus=0, leaves=4, r=(1, 1, 2, 2),
+                       level=2, nmax=nmax)
+
+
 def test_d2bp():
     cert = verify_theorem("d2bp", graph=graphs.caterpillar_tree(4),
                           r=(2, 2, 2, 2), level=2, dmax=3)
