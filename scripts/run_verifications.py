@@ -3,7 +3,9 @@
 
 Each instance carries its expected result: true for the paper's claims,
 false for the recorded counterexamples.  The exit code is 1 when some
-result differs from the expected one, else 0.
+result differs from the expected one, else 0.  A certificate is the report
+that `spinpoly verify` writes for the instance, envelope and inputHash
+included.
 
 Usage: python3 scripts/run_verifications.py [--out certs/] [--dmax 4]
 """
@@ -15,6 +17,7 @@ import sys
 import time
 
 from spinpoly import graphs
+from spinpoly.cli import envelope
 from spinpoly.toric import verify_theorem
 
 
@@ -59,6 +62,17 @@ def instances():
                            r=(1,) * 6, level=2), False
 
 
+def verify_payload(name, kw, nmax, dmax):
+    """The instance's `spinpoly verify` command line as the CLI hashes it,
+    with the graph's JSON in place of its path."""
+    g = kw.get("graph")
+    return {"command": "verify", "theorem": name,
+            "graph": g.to_json_dict() if g else None,
+            "r": list(kw["r"]), "level": kw["level"],
+            "genus": kw.get("genus"), "leaves": kw.get("leaves"),
+            "max_dilation": nmax, "dmax": dmax}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="certs")
@@ -74,8 +88,9 @@ def main(argv=None):
     for i, (name, kw, expected) in enumerate(instances()):
         cert = verify_theorem(name, dmax=args.dmax, nmax=args.nmax, **kw)
         path = outdir / f"{i:02d}_{name}.json"
-        path.write_text(json.dumps(cert.to_json_dict(), indent=2,
-                                   sort_keys=True) + "\n")
+        report = envelope(verify_payload(name, kw, args.nmax, args.dmax),
+                          cert.bounds, cert.to_json_dict())
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         status = "ok" if cert.result == expected else "UNEXPECTED"
         print(f"[{status}] {name:10s} result={str(cert.result).lower():5s} "
               f"-> {path} ({cert.timings.get('total', 0):.2f}s)")

@@ -14,7 +14,7 @@ from .errors import (
     NotAPolytopeMap,
 )
 from .graphs import doubled_pairs, explode, validate
-from .polytopes import assemble, fiber_product
+from .polytopes import assemble, fiber_product, require_degree_one_point
 from .termorders import (
     Check,
     b2_cascade_order,
@@ -42,16 +42,6 @@ class Morphism:
     verified_degree: int
 
 
-@dataclass
-class MorphismCheck:
-    ok: bool
-    morphism: Morphism = None
-    counterexample: tuple = None  # a monomial
-
-    def __bool__(self):
-        return self.ok
-
-
 def _image_monomial(lmap, m):
     return tuple(sorted(lmap.apply(p) for p in m))
 
@@ -59,7 +49,8 @@ def _image_monomial(lmap, m):
 def check_morphism(lmap, source, target, D):
     """Verify that lmap carries the source polytope into the target and that
     standard monomials map to standard monomials, up to degree D.  The
-    counterexample is the least standard monomial whose image is not."""
+    witness is the Morphism, or on failure the least standard monomial whose
+    image is not standard."""
     tgt_pts = set(target.polytope.lattice_points(1))
     for p in source.polytope.lattice_points(1):
         if lmap.apply(p) not in tgt_pts:
@@ -68,8 +59,8 @@ def check_morphism(lmap, source, target, D):
         std_t = standard_monomials(target.polytope, target.order, N)
         for m in sorted(standard_monomials(source.polytope, source.order, N)):
             if _image_monomial(lmap, m) not in std_t:
-                return MorphismCheck(False, counterexample=m)
-    return MorphismCheck(True, Morphism(lmap, source, target, D))
+                return Check(False, m)
+    return Check(True, Morphism(lmap, source, target, D))
 
 
 def sum_weight(o1, o2, split):
@@ -123,30 +114,21 @@ def fiber_product_object(m1, m2, D):
 
 def verify_flag_product_faces(fp, o1, o2, D):
     """Check that every maximal face of the product initial complex is the
-    glue of maximal faces of the factors."""
+    glue of maximal faces of the factors; the witness is the least face, as
+    a sorted list of points, that is not."""
     order = sum_weight(o1, o2, fp.offset)
-    faces = initial_complex_maximal_faces(fp.polytope, order, D)
     faces1 = initial_complex_maximal_faces(fp.p1, o1, D)
     faces2 = initial_complex_maximal_faces(fp.p2, o2, D)
-    report = {"nFaces": len(faces), "nFaces1": len(faces1),
-              "nFaces2": len(faces2), "ok": True, "failures": []}
     pts = set(fp.polytope.lattice_points(1))
-    for S in faces:
-        S1 = frozenset(p[: fp.offset] for p in S)
-        S2 = frozenset(p[fp.offset:] for p in S)
-        F1 = [F for F in faces1 if S1 <= F]
-        F2 = [F for F in faces2 if S2 <= F]
-        glued = None
-        for a in F1:
-            for b in F2:
-                cand = frozenset(p for p in pts
-                                 if p[: fp.offset] in a and p[fp.offset:] in b)
-                if cand == S:
-                    glued = (a, b)
-        if glued is None:
-            report["ok"] = False
-            report["failures"].append(sorted(S))
-    return report
+    for S in sorted(map(sorted, initial_complex_maximal_faces(
+            fp.polytope, order, D))):
+        S1 = {p[: fp.offset] for p in S}
+        S2 = {p[fp.offset:] for p in S}
+        if not any(set(S) == {p for p in pts
+                              if p[: fp.offset] in a and p[fp.offset:] in b}
+                   for a in faces1 if S1 <= a for b in faces2 if S2 <= b):
+            return Check(False, S)
+    return Check(True)
 
 
 def _single_support_row(trans, coord):
@@ -219,7 +201,8 @@ def component_total_order(P, frag, kind):
 def boxtimes_assemble(g, r, L):
     """Assemble the graph polytope from its exploded components with interior
     evenness, and fold the component total orders with the concatenation
-    rule.  Returns (WeightedPolytope, Assembly)."""
+    rule.  Returns (WeightedPolytope, Assembly); an assembly with no degree-1
+    point is refused, as every check on it would pass vacuously."""
     g = validate(g)
     eg = explode(g)
     assembly = assemble(eg, r, L, even_interior=True)
@@ -237,4 +220,5 @@ def boxtimes_assemble(g, r, L):
     for ci in comp_seq[1:]:
         acc = boxtimes_order(acc, orders[ci], acc_dim)
         acc_dim += dims[ci]
+    require_degree_one_point(assembly.polytope, r, L)
     return WeightedPolytope(assembly.polytope, acc), assembly

@@ -10,16 +10,21 @@ import json
 import sys
 
 from . import __version__
+from .catp import boxtimes_assemble
 from .errors import HypothesisViolated, SpinpolyError
-from .graphs import classify, enumerate_graphs, explode, graph_from_json, validate
-from .polytopes import assemble, from_graph, with_full_lattice
+from .graphs import classify, enumerate_graphs, explode, graph_from_json
+from .polytopes import (
+    assemble,
+    from_graph,
+    require_degree_one_point,
+    with_full_lattice,
+)
 from .termorders import is_balanced
 from .toric import (
+    generation,
     hilbert,
     is_normal,
     quadratic_squarefree_gb,
-    relation_degree,
-    require_degree_one_point,
     verify_theorem,
 )
 
@@ -124,34 +129,19 @@ def _build_parser():
     return p
 
 
-def _input_hash(payload):
+def envelope(payload, bounds, body):
+    """A report: the tool, its version, a hash of the instance content and
+    the bounds, then the body.  `payload` is the parsed command line with the
+    graph's JSON in place of its path, so one instance gets one inputHash
+    whatever file holds the graph."""
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _envelope(args, bounds, body):
-    payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("out",)}
     return {
         "tool": "spinpoly",
         "version": __version__,
-        "inputHash": _input_hash(payload),
+        "inputHash": hashlib.sha256(blob).hexdigest()[:16],
         "bounds": bounds,
         **body,
     }
-
-
-def _emit(report, args, fmt="json"):
-    if fmt == "csv":
-        text = report
-    else:
-        text = json.dumps(report, separators=(",", ":"), sort_keys=True,
-                          default=str) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_graph(args):
@@ -164,6 +154,8 @@ def _load_graph(args):
 
 
 def run(argv):
+    """Parse argv, run the command and write its report; return the exit
+    code.  This is the one place that writes a report or picks a code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -171,23 +163,35 @@ def run(argv):
         return 2 if e.code not in (0, None) else 0
 
     try:
-        return _dispatch(args)
+        ok, bounds, body = _dispatch(args)
+        if getattr(args, "format", "json") == "csv":
+            text = "N,count\n" + "".join(
+                f"{n},{c}\n" for n, c in enumerate(body["table"]))
+        else:
+            payload = {k: v for k, v in vars(args).items() if k != "out"}
+            text = json.dumps(envelope(payload, bounds, body),
+                              separators=(",", ":"), sort_keys=True,
+                              default=str) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (SpinpolyError, OSError, ValueError, KeyError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    return 0 if ok else 1
 
 
 def _dispatch(args):
+    """(ok, bounds, body): whether the property holds, and the report's
+    bounds and fields."""
     cmd = args.command
 
     if cmd == "graphs":
         gs = enumerate_graphs(args.genus, args.leaves)
-        report = _envelope(args, {}, {
-            "count": len(gs),
-            "graphs": [g.to_json_dict() for g in gs],
-        })
-        _emit(report, args)
-        return 0
+        return True, {}, {"count": len(gs),
+                          "graphs": [g.to_json_dict() for g in gs]}
 
     if cmd == "verify":
         kwargs = dict(r=args.r, level=args.level, genus=args.genus,
@@ -198,15 +202,13 @@ def _dispatch(args):
                 raise HypothesisViolated("--graph is required")
             kwargs["graph"] = _load_graph(args)
         cert = verify_theorem(args.theorem, **kwargs)
-        report = _envelope(args, cert.bounds, cert.to_json_dict())
-        _emit(report, args)
-        return 0 if cert.result else 1
+        return cert.result, cert.bounds, cert.to_json_dict()
 
     g = _load_graph(args)
 
     if cmd == "explode":
         eg = explode(g)
-        report = _envelope(args, {}, {
+        return True, {}, {
             "class": classify(g).value,
             "components": [
                 {"vertices": [str(v) for v in f.vertices],
@@ -217,9 +219,7 @@ def _dispatch(args):
             ],
             "splitEdges": [[orig, list(a), list(b)]
                            for orig, a, b in eg.split_edges],
-        })
-        _emit(report, args)
-        return 0
+        }
 
     r, L = tuple(args.r), args.level
     if cmd in ("points", "hilbert", "normal", "relations", "balanced"):
@@ -227,79 +227,57 @@ def _dispatch(args):
         if getattr(args, "lattice", "parity") == "full":
             P = with_full_lattice(P)
         if cmd in ("normal", "relations", "balanced"):
-            # a check on no point would pass vacuously
             require_degree_one_point(P, r, L)
 
     if cmd == "points":
         pts = P.lattice_points(args.dilation)
-        report = _envelope(args, {"dilation": args.dilation}, {
+        return True, {"dilation": args.dilation}, {
             "count": len(pts),
             "points": [list(p) for p in pts],
-        })
-        _emit(report, args)
-        return 0
+        }
 
     if cmd == "hilbert":
-        table = hilbert(P, args.max_dilation)
-        if args.format == "csv":
-            rows = "".join(f"{n},{c}\n" for n, c in enumerate(table))
-            _emit("N,count\n" + rows, args, fmt="csv")
-        else:
-            report = _envelope(args, {"maxDilation": args.max_dilation},
-                               {"table": list(table)})
-            _emit(report, args)
-        return 0
+        return True, {"maxDilation": args.max_dilation}, {
+            "table": list(hilbert(P, args.max_dilation))}
 
     if cmd == "normal":
         chk = is_normal(P, args.dmax)
-        report = _envelope(args, {"dmax": args.dmax}, {
+        return chk.ok, {"dmax": args.dmax}, {
             "normal": chk.ok,
             "witness": list(chk.witness[1]) if not chk.ok else None,
             "witnessDegree": chk.witness[0] if not chk.ok else None,
-        })
-        _emit(report, args)
-        return 0 if chk.ok else 1
+        }
 
     if cmd == "relations":
-        cert = relation_degree(P, args.move_max, args.dmax)
-        ok = cert.relation_degree is not None
-        report = _envelope(args, {"moveMax": args.move_max,
-                                  "dmax": args.dmax}, {
+        cert = generation(P, args.move_max, args.dmax)
+        return cert.relation_degree is not None, {
+            "moveMax": args.move_max, "dmax": args.dmax}, {
             "relationDegree": cert.relation_degree,
-            # (N, b, d) for the tightest fibers, (N, b) for failing ones
+            # (N, b, d) for the tightest fibers, (N, b) for failing ones,
+            # (N, point) for a failed normality prerequisite
             "witnesses": [[w[0], list(w[1]), *w[2:]] for w in cert.witnesses],
             "minimalRelations": cert.minimal_relations,
-        })
-        _emit(report, args)
-        return 0 if ok else 1
+        }
 
     if cmd == "gb-check":
-        from .catp import boxtimes_assemble
-
         wp, assembly = boxtimes_assemble(g, r, L)
-        require_degree_one_point(wp.polytope, r, L)
         chk = quadratic_squarefree_gb(wp.polytope, wp.order, args.dmax)
-        report = _envelope(args, {"dmax": args.dmax}, {
+        return chk.ok, {"dmax": args.dmax}, {
             "pass": chk.ok,
             "detail": chk.witness if isinstance(chk.witness, dict) else None,
             "components": [k for _, k, _ in assembly.components],
-        })
-        _emit(report, args)
-        return 0 if chk.ok else 1
+        }
 
     if cmd == "balanced":
         chk = is_balanced(P, args.depth)
-        report = _envelope(args, {"depth": args.depth}, {
+        return chk.ok, {"depth": args.depth}, {
             "balanced": chk.ok,
             "witness": [list(p) for p in chk.witness] if not chk.ok else None,
-        })
-        _emit(report, args)
-        return 0 if chk.ok else 1
+        }
 
     if cmd == "blocks":
-        eg = explode(g)
-        A = assemble(eg, r, L)
-        report = _envelope(args, {}, {
+        A = assemble(explode(g), r, L)
+        return True, {}, {
             "steps": list(A.steps),
             "components": [
                 {"kind": k,
@@ -307,9 +285,7 @@ def _dispatch(args):
                  "degreeOnePoints": len(P.lattice_points(1))}
                 for _, k, P in A.components
             ],
-        })
-        _emit(report, args)
-        return 0
+        }
 
     raise HypothesisViolated(f"unknown command {cmd!r}")
 

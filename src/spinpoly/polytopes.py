@@ -13,6 +13,7 @@ from math import gcd, lcm
 
 from .errors import (
     BaseMismatch,
+    HypothesisViolated,
     InvalidParams,
     ParityViolation,
     Unbounded,
@@ -293,6 +294,14 @@ def from_graph(g, r, L):
     g = weighted_graph(g, r)
     ineqs, eqs, psets = _graph_system(g, r, L)
     return GradedPolytope(len(g.edges), tuple(ineqs), tuple(eqs), tuple(psets))
+
+
+def require_degree_one_point(P, r, L):
+    """Refuse a polytope with no degree-1 point: every check on it would
+    pass vacuously."""
+    if not P.lattice_points(1):
+        raise HypothesisViolated(
+            f"P(graph, r={list(r)}, L={L}) has no degree-1 point")
 
 
 def _parity_span(psets):

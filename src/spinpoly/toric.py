@@ -21,7 +21,8 @@ from .graphs import (
     weighted_graph,
     _is_tree_like,
 )
-from .polytopes import from_graph
+from .catp import boxtimes_assemble
+from .polytopes import from_graph, require_degree_one_point
 from .termorders import (
     Check,
     TotalOrder,
@@ -41,6 +42,11 @@ def _table(entries):
 
 
 def hilbert(P, Nmax):
+    """The lattice point counts of dilations 0..Nmax.  Entry 0 is 1, or 0
+    when no dilation up to Nmax has a point: the empty-polytope convention
+    reads only the table itself, so it is relative to the bound.  A polytope
+    whose first point lies in dilation 2 reads (0, 0) to Nmax = 1 and
+    (1, 0, 1) to Nmax = 2, and every polytope reads (1,) to Nmax = 0."""
     return _table([len(P.lattice_points(n)) for n in range(Nmax + 1)])
 
 
@@ -254,6 +260,16 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     return GenerationCertificate(overall, tuple(tight), minimal)
 
 
+def generation(P, move_degree_max, Dmax):
+    """The relation step of `relations` and `polypres`: `relation_degree`,
+    with a failed normality prerequisite turned into a failed certificate
+    whose one witness is its (N, point)."""
+    try:
+        return relation_degree(P, move_degree_max, Dmax)
+    except NormalityPrerequisiteFailed as e:
+        return GenerationCertificate(None, (e.witness,))
+
+
 def quadratic_squarefree_gb(P, order, Dmax):
     """Certify (to degree Dmax) that the quadratic binomials with nonstandard
     leading terms form a square-free Groebner basis: all squares must be
@@ -322,22 +338,12 @@ class Certificate:
             "instance": self.instance,
             "bounds": self.bounds,
             "result": self.result,
-            "witnesses": [_jsonable(w) for w in self.witnesses],
+            "witnesses": self.witnesses,
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
         }
         if self.table is not None:
             out["table"] = self.table
         return out
-
-
-def _jsonable(x):
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(y) for y in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    return str(x)
 
 
 def verify_theorem(name, graph=None, r=None, level=None, genus=None,
@@ -407,21 +413,16 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         P = from_graph(g, r, level)
         require_degree_one_point(P, r, level)
         t1 = time.perf_counter()
-        try:
-            cert = relation_degree(P, 3, dmax)
-        except NormalityPrerequisiteFailed as e:
-            ok, rel, witnesses = False, None, [e.witness]
-        else:
-            rel = cert.relation_degree
-            ok = rel is not None and rel <= 3
-            witnesses = list(cert.witnesses)
+        cert = generation(P, 3, dmax)
         timings["relations"] = time.perf_counter() - t1
         timings["total"] = time.perf_counter() - t0
+        rel = cert.relation_degree
         return Certificate(
             "polypres",
             {"graph": g.to_json_dict(), "r": list(r), "level": level,
              "relationDegree": rel},
-            {"dmax": dmax, "moveMax": 3}, ok, witnesses, timings)
+            {"dmax": dmax, "moveMax": 3}, rel is not None,
+            list(cert.witnesses), timings)
 
     if name in ("polyquad", "d2bp"):
         cls = classify(g)
@@ -432,28 +433,21 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             raise HypothesisViolated(f"graph class {cls.value} not allowed")
         if any(x % 2 for x in r):
             raise HypothesisViolated("all leaf weights must be even")
-        from .catp import boxtimes_assemble
-
         wp, assembly = boxtimes_assemble(g, r, level)
-        require_degree_one_point(wp.polytope, r, level)
         witnesses = []
-        ok = True
         if name == "d2bp":
             t1 = time.perf_counter()
             for frag, kind, Pc in assembly.components:
-                dense_dim = Pc.dim - len(frag.leaves)
-                if dense_dim > 2:
+                if Pc.dim - len(frag.leaves) > 2:
                     raise HypothesisViolated(
                         "a component is not 2-dimensional")
                 bal = is_balanced(Pc, 3)
                 if not bal.ok:
-                    ok = False
                     witnesses.append(bal.witness)
             timings["blocks"] = time.perf_counter() - t1
         t1 = time.perf_counter()
         gb = quadratic_squarefree_gb(wp.polytope, wp.order, dmax)
         timings["gb"] = time.perf_counter() - t1
-        ok = ok and gb.ok
         if not gb.ok:
             witnesses.append(gb.witness)
         timings["total"] = time.perf_counter() - t0
@@ -461,12 +455,6 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             name,
             {"graph": g.to_json_dict(), "r": list(r), "level": level,
              "components": [k for _, k, _ in assembly.components]},
-            {"dmax": dmax}, ok, witnesses, timings)
+            {"dmax": dmax}, not witnesses, witnesses, timings)
 
     raise HypothesisViolated(f"unknown theorem {name!r}")
-
-
-def require_degree_one_point(P, r, level):
-    if not P.lattice_points(1):
-        raise HypothesisViolated(
-            f"P(graph, r={list(r)}, L={level}) has no degree-1 point")

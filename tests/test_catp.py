@@ -26,12 +26,14 @@ from spinpoly.polytopes import (
     fiber_product,
     from_graph,
     interval,
+    p3,
     p3_fixed2,
 )
 from spinpoly.termorders import (
     TermWeight,
     TotalOrder,
     has_unique_standard_monomials,
+    initial_complex_maximal_faces,
     sigma2_lex_order,
 )
 
@@ -55,7 +57,7 @@ def test_check_morphism_inclusion_is_morphism():
     src, tgt = interval_object(2), interval_object(4)
     chk = check_morphism(inclusion_map(2, 4), src, tgt, 3)
     assert chk.ok
-    assert chk.morphism.verified_degree == 3
+    assert chk.witness.verified_degree == 3
 
 
 def test_doubling_is_not_a_morphism():
@@ -65,7 +67,7 @@ def test_doubling_is_not_a_morphism():
     dbl = LatticeMap(((2,),), 1, interval(4))
     chk = check_morphism(dbl, src, tgt, 2)
     assert not chk.ok
-    assert chk.counterexample == ((0,), (1,))
+    assert chk.witness == ((0,), (1,))
 
 
 def test_check_morphism_rejects_out_of_range():
@@ -85,7 +87,7 @@ def test_check_morphism_zero_weight_counterexample():
     ident = LatticeMap(((1,),), 1, interval(2))
     chk = check_morphism(ident, src, tgt, 2)
     assert not chk.ok
-    assert chk.counterexample == ((1,), (1,))
+    assert chk.witness == ((1,), (1,))
 
 
 def test_sum_weight_and_split():
@@ -115,9 +117,9 @@ def test_fiber_product_object_and_closures():
     oA = sigma2_lex_order(A.transform_point)
     base = interval_object(2)
     m1 = check_morphism(edge_projection(A, 2, 2),
-                        WeightedPolytope(A, oA), base, 3).morphism
+                        WeightedPolytope(A, oA), base, 3).witness
     m2 = check_morphism(edge_projection(A, 2, 2),
-                        WeightedPolytope(A, oA), base, 3).morphism
+                        WeightedPolytope(A, oA), base, 3).witness
     wp, fp = fiber_product_object(m1, m2, 3)
     assert wp.polytope is fp.polytope
     # the doubled weight on the glued coordinate is order-equivalent to the
@@ -125,7 +127,22 @@ def test_fiber_product_object_and_closures():
     assert verify_double_weight_equivalence(fp, 3).ok
     # flag initial complexes glue facewise
     report = verify_flag_product_faces(fp, oA, oA, 3)
-    assert report["ok"]
+    assert report.ok
+
+
+def test_flag_product_faces_failure_witness():
+    # two trinode blocks glued along their first edge: some maximal face of
+    # the product complex glues no pair of factor faces, and the least one
+    # is the witness
+    A = p3(2)
+    fp = fiber_product(A, edge_projection(A, 0, 2),
+                       A, edge_projection(A, 0, 2))
+    o = sigma2_lex_order(A.transform_point)
+    chk = verify_flag_product_faces(fp, o, o, 2)
+    assert not chk.ok
+    assert chk.witness == sorted(chk.witness)
+    assert frozenset(chk.witness) in initial_complex_maximal_faces(
+        fp.polytope, sum_weight(o, o, fp.offset), 2)
 
 
 def test_fiber_product_object_rejects_weak_base():
@@ -133,7 +150,7 @@ def test_fiber_product_object_rejects_weak_base():
     oA = sigma2_lex_order(A.transform_point)
     base = WeightedPolytope(interval(2), TermWeight.zero())
     m1 = check_morphism(edge_projection(A, 2, 2),
-                        WeightedPolytope(A, oA), base, 2).morphism
+                        WeightedPolytope(A, oA), base, 2).witness
     with pytest.raises(NonUniqueBase):
         fiber_product_object(m1, m1, 2)
 
@@ -143,7 +160,7 @@ def test_boxtimes_object_total():
     oA = sigma2_lex_order(A.transform_point)
     base = interval_object(2)
     m1 = check_morphism(edge_projection(A, 2, 2),
-                        WeightedPolytope(A, oA), base, 3).morphism
+                        WeightedPolytope(A, oA), base, 3).witness
     wp, fp = boxtimes_object(m1, m1, 3)
     assert isinstance(wp.order, TotalOrder)
     assert has_unique_standard_monomials(wp.polytope, wp.order, 3)
@@ -153,7 +170,7 @@ def test_boxtimes_object_rejects_non_total():
     A = p3_fixed2(2, 2, 2)
     base = interval_object(2)
     src = WeightedPolytope(A, TermWeight.sigma2(A.transform_point))
-    m1 = check_morphism(edge_projection(A, 2, 2), src, base, 2).morphism
+    m1 = check_morphism(edge_projection(A, 2, 2), src, base, 2).witness
     with pytest.raises(NotTotal):
         boxtimes_object(m1, m1, 2)
 

@@ -104,6 +104,26 @@ def test_relations_reports_move_bound_failure(loopy_path, capsys):
         assert n in (2, 3) and len(b) == 4
 
 
+@pytest.mark.parametrize("g,r,L,witness", [
+    (graphs.enumerate_graphs(0, 6)[0], (1,) * 6, 2, (2, [2] * 9)),
+    (graphs.enumerate_graphs(2, 1)[1], (0,), 3, (2, [3, 6, 6, 3, 0]))])
+def test_relations_on_non_normal_polytope_exit_1(g, r, L, witness, tmp_path,
+                                                  capsys):
+    # the normality prerequisite fails: a property failure with the witness
+    # that `normal` reports, not an input error
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(g.to_json_dict()))
+    argv = ["--graph", str(path), "--r", ",".join(map(str, r)),
+            "--level", str(L)]
+    assert run(["normal", *argv]) == 1
+    rep = out_json(capsys)
+    assert (rep["witnessDegree"], rep["witness"]) == witness
+    assert run(["relations", *argv]) == 1
+    rep = out_json(capsys)
+    assert rep["relationDegree"] is None
+    assert rep["witnesses"] == [list(witness)]
+
+
 def test_gb_check(t4_path, capsys):
     assert run(["gb-check", "--graph", t4_path, "--r", "2,2,2,2",
                 "--level", "2", "--dmax", "3"]) == 0

@@ -38,3 +38,20 @@ def test_runs_without_networkx():
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "3"
+
+
+def test_src_has_no_unread_imports():
+    # every name that an import statement binds in a module is read there
+    unread = []
+    for path in sorted((SRC / "spinpoly").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {(a.asname or a.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, name) for name in sorted(bound - read)]
+    assert unread == []
