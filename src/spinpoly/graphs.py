@@ -451,7 +451,25 @@ def double_edge_at(g, edge_index):
 
 def enumerate_graphs(genus, n_leaves):
     """All connected trivalent multigraphs with the given first Betti number
-    and leaf count, up to isomorphism fixing leaf labels."""
+    and leaf count, up to isomorphism fixing leaf labels.
+
+    Internal edge multisets (sorted (i <= j) pairs over vertices
+    0..n_internal-1) are walked in lexicographic order, and the first
+    connected one of each shape is the shape's representative, the least of
+    its relabellings.  Lex-least multisets have the prefix property (Read's
+    orderly generation): if C is the least of its relabellings, so is C
+    less its last edge, since a relabelling that made the prefix smaller
+    makes C smaller wherever the image of the last edge lands.  So a branch
+    that a swap of two vertices makes smaller holds no representative and is
+    cut, and the representatives come out in the same order as from the
+    full walk.  The shape keys of the surviving multisets tell the shapes
+    apart exactly.
+
+    Leaves are attached to the free slots in lexicographic order, and an
+    assignment a is listed iff no automorphism s of the shape gives a
+    smaller s o a: two assignments give isomorphic graphs iff an
+    automorphism carries one to the other, so this lists the first of each
+    class."""
     if genus < 0 or n_leaves < 0:
         raise InvalidParams(f"genus {genus} and leaf count {n_leaves} must be >= 0")
     if genus > 2 or n_leaves > 6:
@@ -468,23 +486,19 @@ def enumerate_graphs(genus, n_leaves):
     verts = internal + tuple(f"leaf{k}" for k in range(1, n_leaves + 1))
     leaves = tuple((k, f"leaf{k}") for k in range(1, n_leaves + 1))
     pairs = [(i, j) for i in internal for j in internal[i:]]
-    deg, shapes, seen, out = [0] * n_internal, set(), set(), []
+    deg, shapes, out = [0] * n_internal, set(), []
     for combo in _edge_multisets(pairs, 3 * genus + n_leaves - 3, deg):
         # leaves are pendant: connectivity depends on the internal edges only
         if not _connected(internal, combo):
             continue
-        # a relabelling onto an earlier combo of the same shape carries every
-        # leaf assignment of this one to an assignment already seen
         shape = _canonical_key(n_internal, combo, ())
         if shape in shapes:
             continue
         shapes.add(shape)
-        # attach labeled leaves to the free slots, in lexicographic order
+        aut = _automorphisms(n_internal, combo)
         slots = [v for v in internal for _ in range(3 - deg[v])]
         for assign in sorted(set(permutations(slots))):
-            key = _canonical_key(n_internal, combo, assign)
-            if key not in seen:
-                seen.add(key)
+            if all(tuple(s[v] for v in assign) >= assign for s in aut):
                 edges = combo + tuple((v, f"leaf{k}") for k, v in enumerate(assign, 1))
                 out.append(MarkedGraph(verts, edges, leaves))
     return out
@@ -492,8 +506,10 @@ def enumerate_graphs(genus, n_leaves):
 
 def _edge_multisets(pairs, n_edges, deg, start=0, combo=()):
     """The multisets of n_edges `pairs` that give no vertex degree above 3,
-    in combinations_with_replacement order.  `deg` holds the degrees of the
-    current branch, which stops at the first edge that overfills a vertex."""
+    in combinations_with_replacement order, less every branch that a swap of
+    two vertices makes lexicographically smaller.  `deg` holds the degrees
+    of the current branch, which stops at the first edge that overfills a
+    vertex."""
     if len(combo) == n_edges:
         yield combo
         return
@@ -501,10 +517,28 @@ def _edge_multisets(pairs, n_edges, deg, start=0, combo=()):
         i, j = pairs[s]
         deg[i] += 1
         deg[j] += 1
-        if deg[i] <= 3 and deg[j] <= 3:
-            yield from _edge_multisets(pairs, n_edges, deg, s, combo + (pairs[s],))
+        nxt = combo + (pairs[s],)
+        if deg[i] <= 3 and deg[j] <= 3 and not _swap_makes_smaller(len(deg), nxt):
+            yield from _edge_multisets(pairs, n_edges, deg, s, nxt)
         deg[i] -= 1
         deg[j] -= 1
+
+
+def _swap_makes_smaller(n, combo):
+    """True iff swapping some two of the vertices 0..n-1 turns the sorted
+    edge tuple `combo` into a smaller one."""
+    for a in range(n):
+        for b in range(a + 1, n):
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            if _relabel(swap, combo) < combo:
+                return True
+    return False
+
+
+def _relabel(perm, combo):
+    """The sorted edge tuple of `combo` with each vertex v renamed perm[v]."""
+    return tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in combo))
 
 
 def _ranks(values):
@@ -512,14 +546,15 @@ def _ranks(values):
     return [index[x] for x in values]
 
 
-def _canonical_key(n, combo, assign):
-    """Key of internal edges `combo` with leaf k + 1 at vertex assign[k]:
-    equal keys iff the graphs are isomorphic by a map fixing leaf labels.
+def _colour_orders(n, combo, assign):
+    """Colour refinement of internal edges `combo` with leaf k + 1 at vertex
+    assign[k], as the vertex orders that list the colour classes in colour
+    order, each class in some order of its own; the first lists each class
+    in vertex order.
 
-    Colour refinement: each vertex starts with its loop count and leaf
-    labels, then adds its neighbours' colours (with edge multiplicity) until
-    no colour class splits.  The key is the least (edges, att) relabelling
-    that keeps each colour class in its own block, blocks in colour order."""
+    Each vertex starts with its loop count and leaf labels, then adds its
+    neighbours' colours (with edge multiplicity) until no colour class
+    splits.  An isomorphism maps each vertex to one of its colour."""
     # a loop lists v among its own neighbours; vertices of one colour have
     # as many loops, so this adds the same colours to both sides of every
     # comparison, and the refinement and its ranks are those without loops
@@ -532,11 +567,35 @@ def _canonical_key(n, combo, assign):
         if max(refined) == max(colour):
             break
         colour = refined
-    keys = []
     for blocks in product(*(permutations(v for v in range(n) if colour[v] == c)
                             for c in range(max(colour) + 1))):
-        order = [v for block in blocks for v in block]
+        yield [v for block in blocks for v in block]
+
+
+def _canonical_key(n, combo, assign):
+    """Key of internal edges `combo` with leaf k + 1 at vertex assign[k]:
+    equal keys iff the graphs are isomorphic by a map fixing leaf labels.
+
+    The key is the least (edges, att) relabelling that keeps each colour
+    class of `_colour_orders` in its own block, blocks in colour order."""
+    keys = []
+    for order in _colour_orders(n, combo, assign):
         perm = [order.index(v) for v in range(n)]
-        keys.append((tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in combo)),
-                     tuple(perm[v] for v in assign)))
+        keys.append((_relabel(perm, combo), tuple(perm[v] for v in assign)))
     return min(keys)
+
+
+def _automorphisms(n, combo):
+    """The vertex permutations s (v -> s[v]) that map the sorted edge tuple
+    `combo` onto itself: each keeps every colour class of the refinement,
+    so they are found among the maps within the classes."""
+    orders = _colour_orders(n, combo, ())
+    base = next(orders)
+    out = [list(range(n))]
+    for order in orders:
+        perm = [0] * n
+        for v, w in zip(base, order):
+            perm[v] = w
+        if _relabel(perm, combo) == combo:
+            out.append(perm)
+    return out

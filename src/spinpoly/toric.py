@@ -4,8 +4,9 @@ Groebner bases checked by standard-monomial counting."""
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .errors import (
     HypothesisViolated,
@@ -78,16 +79,20 @@ def hilbert_by_fusion(g, r, L, Nmax):
 
 def _elimination_plan(g):
     """The leaf edges of g in label order, and its trinodes in a greedy
-    elimination order as steps (loop, known, n_new, keep).  The running
-    counts are keyed by the weights of the frontier: the edges that a later
-    trinode still reads.  A step's trinode reads its known edges at
-    positions `known` of (leaf pins, frontier), and brings in n_new new
-    edges (a loop edge is always new, and last); `keep` picks the next
-    frontier from (leaf pins, frontier, new).  Each step takes the trinode
-    that brings in the fewest new edges, then the one that reads the most
-    frontier edges, then the first in vertex order."""
-    pinned = tuple(g.leaf_edge_index(lab) for lab, _ in g.leaves)
-    todo = [g.incident_edges(v) for v in g.internal_vertices]
+    elimination order as steps (loop, known, keep).  The running counts are
+    keyed by the weights of the frontier: the edges that a later trinode
+    still reads.  A step's trinode reads its known edges at positions
+    `known` of (leaf pins, frontier), and brings in the rest as new edges
+    (a loop edge is always new, and last); `keep` picks the next frontier
+    from (leaf pins, frontier, new).  Each step takes the trinode that brings
+    in the fewest new edges, then the one that reads the most frontier
+    edges, then the first in vertex order."""
+    at = {v: [] for v in g.vertices}
+    for i, e in enumerate(g.edges):
+        for v in e:
+            at[v].append(i)  # a loop twice
+    pinned = tuple(at[v][0] for _, v in g.leaves)
+    todo = [inc for inc in at.values() if len(inc) == 3]
     frontier, steps = (), []
     while todo:
         known = set(pinned) | set(frontier)
@@ -100,45 +105,76 @@ def _elimination_plan(g):
         layout = (*pinned, *frontier, *new)
         steps.append((len(edges) == 2,
                       tuple(layout.index(e) for e in edges if e in known),
-                      len(new), tuple(layout.index(e) for e in keep)))
+                      tuple(layout.index(e) for e in keep)))
         frontier = tuple(keep)
     return pinned, steps
 
 
 def _fusion_count(steps, pins, NL):
+    rules = _fusion_rules(NL)
     counts = {(): 1}
-    for loop, known, n_new, keep in steps:
+    for loop, known, keep in steps:
+        known, keep = _take(known), _take(keep)
         nxt = {}
         for vals, c in counts.items():
             ext = pins + vals
-            for new, m in _trinode_weights(
-                    loop, tuple(map(ext.__getitem__, known)), n_new, NL):
-                key = tuple(map((ext + new).__getitem__, keep))
+            for new, m in rules[loop, known(ext)]:
+                key = keep(ext + new)
                 nxt[key] = nxt.get(key, 0) + c * m
         counts = nxt
     return sum(counts.values())
 
 
-def _trinode_weights(loop, known, n_new, NL):
-    """The weights of a trinode's new edges given its known ones, with the
-    number of points each choice stands for.  A loop trinode (a, l) needs a
-    even and a/2 <= l <= NL - a/2, so l is counted, not listed.  Otherwise
-    each new edge but the last ranges over [0, NL], as no weight exceeds
-    half the trinode's sum, and the last, c, over the range that the other
-    two, a and b, leave it: |a-b| <= c <= min(a+b, 2NL-a-b), c = a+b mod 2."""
-    if loop:
-        for a in known or range(0, NL + 1, 2):
-            if a % 2 == 0 and a <= NL:
-                yield (() if known else (a,)), NL - a + 1
-        return
-    for xs in product(range(NL + 1), repeat=max(n_new - 1, 0)):
-        a, b, *third = known + xs
-        lo, hi = abs(a - b), min(a + b, 2 * NL - a - b)
-        if not third:
-            for c in range(lo, hi + 1, 2):
-                yield xs + (c,), 1
-        elif lo <= third[0] <= hi and (third[0] - lo) % 2 == 0:
-            yield (), 1
+def _take(idx):
+    """t -> the tuple of t's entries at positions idx."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda t: tuple(t[i] for i in idx)
+
+
+@lru_cache(maxsize=16)
+def _fusion_rules(k):
+    """The SL2 fusion rules at level k as one table: (loop, known weights)
+    -> a trinode's choices of its new edge weights, ((new weights, number
+    of points), ...).  Entries are filled as they are first read, so the
+    table holds what the counts use and no more.
+
+    A trinode (a, b, c) is admissible, N_abc = 1, iff |a-b| <= c <= a+b,
+    a+b+c is even and a+b+c <= 2k; so no weight exceeds k.  A trinode of
+    three edges knows its first 0 to 3 weights, and its new weights are the
+    rest.  A loop trinode (a, l, l) needs a even and a/2 <= l <= k - a/2, so
+    l is counted, not listed: its choices are its even a <= k (given, or new
+    and listed), each standing for k - a + 1 points."""
+    return _FusionRules(k)
+
+
+class _FusionRules(dict):
+    def __init__(self, k):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, key):
+        loop, known = key
+        k = self.k
+        if loop:
+            choices = tuple(((() if known else (a,)), k - a + 1)
+                            for a in known or range(0, k + 1, 2)
+                            if a % 2 == 0 and a <= k)
+        else:
+            choices = tuple((t[len(known):], 1) for t in _admissible(k, known))
+        self[key] = choices
+        return choices
+
+
+def _admissible(k, known):
+    """The admissible triples (a, b, c) at level k that begin with the
+    weights `known`, in lexicographic order."""
+    for a in known[:1] or range(k + 1):
+        for b in known[1:2] or range(k + 1):
+            cs = range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)
+            for c in known[2:] or cs:
+                if c in cs:
+                    yield a, b, c
 
 
 def is_normal(P, Dmax):

@@ -9,7 +9,13 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
-from spinpoly.graphs import MarkedGraph, _connected, caterpillar_tree, validate
+from spinpoly.graphs import (
+    MarkedGraph,
+    _canonical_key,
+    _connected,
+    caterpillar_tree,
+    validate,
+)
 from spinpoly.polytopes import (
     interval,
     loop_b,
@@ -157,6 +163,37 @@ def naive_enumerate_graphs(genus, n_leaves):
         edges = tuple(combo) + tuple(
             (assign[k - 1], f"leaf{k}") for k in range(1, n_leaves + 1))
         out.append(validate(MarkedGraph(verts, edges, leaves)))
+    return out
+
+
+def keyed_enumerate_graphs(genus, n_leaves):
+    """enumerate_graphs without its orderly pruning or automorphisms: every
+    edge multiset of the internal vertices, the first connected one of each
+    shape, and a colour-refinement key per leaf assignment to keep the first
+    of each isomorphism class."""
+    n_internal = 2 * genus + n_leaves - 2
+    if n_internal <= 0:
+        return [caterpillar_tree(2)] if (genus, n_leaves) == (0, 2) else []
+    internal = tuple(range(n_internal))
+    verts = internal + tuple(f"leaf{k}" for k in range(1, n_leaves + 1))
+    leaves = tuple((k, f"leaf{k}") for k in range(1, n_leaves + 1))
+    pairs = [(i, j) for i in internal for j in internal[i:]]
+    shapes, seen, out = set(), set(), []
+    for combo in combinations_with_replacement(pairs, 3 * genus + n_leaves - 3):
+        deg = Counter(v for e in combo for v in e)
+        if max(deg.values()) > 3 or not _connected(internal, combo):
+            continue
+        shape = _canonical_key(n_internal, combo, ())
+        if shape in shapes:
+            continue
+        shapes.add(shape)
+        slots = [v for v in internal for _ in range(3 - deg[v])]
+        for assign in sorted(set(permutations(slots))):
+            key = _canonical_key(n_internal, combo, assign)
+            if key not in seen:
+                seen.add(key)
+                edges = combo + tuple((v, f"leaf{k}") for k, v in enumerate(assign, 1))
+                out.append(MarkedGraph(verts, edges, leaves))
     return out
 
 

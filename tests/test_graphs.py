@@ -23,6 +23,7 @@ from spinpoly.graphs import GraphClass
 from spinpoly.polytopes import from_graph
 
 from helpers import (
+    keyed_enumerate_graphs,
     loop_with_leaf,
     naive_candidates,
     naive_canonical_key,
@@ -234,6 +235,9 @@ def test_explode_reglue_identity():
     (2, 1, 3),
     (2, 2, 10),
     (2, 3, 58),
+    (1, 6, 2865),
+    (2, 4, 465),
+    (2, 5, 4725),
 ])
 def test_enumerate_counts(genus, n, count):
     gs = graphs.enumerate_graphs(genus, n)
@@ -263,6 +267,12 @@ def test_enumerate_rejects_negative_bounds():
 def test_enumerate_matches_naive(genus, n):
     # same graphs in the same order as the n!-key brute force
     assert graphs.enumerate_graphs(genus, n) == naive_enumerate_graphs(genus, n)
+
+
+@pytest.mark.parametrize("genus,n", [(1, 5), (2, 3)])
+def test_enumerate_matches_keyed_oracle(genus, n):
+    # same graphs in the same order as a key per multiset and per assignment
+    assert graphs.enumerate_graphs(genus, n) == keyed_enumerate_graphs(genus, n)
 
 
 def _nx_graph(g):

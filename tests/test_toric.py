@@ -1,3 +1,4 @@
+from itertools import product
 import random
 
 import pytest
@@ -105,6 +106,39 @@ def test_hilbert_by_fusion_seeded_sweep():
                 L = rng.randrange(4)
                 assert (hilbert_by_fusion(g, r, L, 3)
                         == hilbert(from_graph(g, r, L), 3)), (g, r, L)
+
+
+def _brute_triples(k):
+    """The admissible trinodes at level k, by a scan of [0, 2k]^3."""
+    return [(a, b, c) for a, b, c in product(range(2 * k + 1), repeat=3)
+            if abs(a - b) <= c <= a + b and (a + b + c) % 2 == 0
+            and a + b + c <= 2 * k]
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_fusion_rules_list_the_admissible_triples(k):
+    rules = toric._fusion_rules(k)
+    triples = _brute_triples(k)
+    assert [new for new, m in rules[False, ()]] == triples
+    assert all(m == 1 for _, m in rules[False, ()])
+    # one to three known weights, admissible or not, up past the level
+    for known in product(range(k + 3), repeat=3):
+        for n in (1, 2, 3):
+            assert rules[False, known[:n]] == tuple(
+                (t[n:], 1) for t in triples if t[:n] == known[:n])
+    # a loop trinode (a, l, l), counted by a scan over l
+    loops = {a: sum((a, l, l) in triples for l in range(2 * k + 1))
+             for a in range(k + 3)}
+    assert rules[True, ()] == tuple(((a,), m) for a, m in loops.items() if m)
+    for a, m in loops.items():
+        assert rules[True, (a,)] == ((((), m),) if m else ())
+
+
+def test_fusion_rules_cache_is_bounded():
+    for k in range(20):
+        toric._fusion_rules(k)
+    info = toric._fusion_rules.cache_info()
+    assert info.maxsize == 16 and info.currsize <= 16
 
 
 def test_hilbert_by_fusion_empty_convention():
