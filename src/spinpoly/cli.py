@@ -8,6 +8,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .catp import boxtimes_assemble
@@ -51,6 +52,7 @@ _degree_bound = _at_least(2, "degree bound")
 _LEVEL_HELP = "the SL2 level L: each trinode's weight sum is at most 2L"
 
 
+@lru_cache(maxsize=1)  # built on the first run, then shared by every run
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="spinpoly",

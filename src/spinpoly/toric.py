@@ -3,6 +3,7 @@ ideal generation via fiber-graph connectivity, and quadratic square-free
 Groebner bases checked by standard-monomial counting."""
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -220,36 +221,59 @@ class GenerationCertificate:
     minimal_relations: dict = field(default_factory=dict)  # N -> generators
 
 
-def _lifted_spanning_tree(fiber, b, lower, N):
-    """Minimum spanning tree of a degree-N fiber, as (w, u, v) edges of
-    exchange size w.  Two monomials that differ in w < N points share a point p,
-    and their quotients by p differ in the same points inside fiber b - p; so
-    the lifts by p of the trees of the fibers b - p (`lower`) connect what the
-    exchange graph connects below weight N.  Weight-N edges join the rest."""
+def _next_fibers(fibers, codes, unit, bits):
+    """The degree-N fibers from the degree-(N-1) ones, both as dicts image
+    code -> monomial codes.  Each monomial u is extended by every point at
+    or after its last point (its lowest nonzero digit), so each degree-N
+    monomial is made once.  Each fiber is sorted in decreasing code order,
+    which is combination order, and the fibers are ordered by their first
+    monomial: the order of `monomials_by_image`."""
+    n = len(codes)
+    tails = [list(zip(codes[p:], unit[p:])) for p in range(n)]
+    out = defaultdict(list)
+    for key, fiber in fibers.items():
+        for u in fiber:
+            for c, e in tails[n - 1 - ((u & -u).bit_length() - 1) // bits]:
+                out[key + c].append(u + e)
+    for fiber in out.values():
+        fiber.sort(reverse=True)
+    return dict(sorted(out.items(), key=lambda kv: kv[1][0], reverse=True))
+
+
+def _lifted_spanning_tree(fiber, lifts, N):
+    """Minimum spanning tree of a degree-N fiber, as buckets tree[w] of its
+    (u, v) edges of exchange size w, for 2 <= w <= N.  Two monomials that
+    differ in w < N points share a point p, and their quotients by p differ
+    in the same points inside fiber b - p; so the lifts by p of the trees of
+    the fibers b - p connect what the exchange graph connects below weight N.
+    `lifts` holds (unit[p], tree of b - p) in point order.  The walk takes
+    weight 2, then 3, and so on; within a weight it goes by point, then in
+    tree order, and it stops at |fiber| - 1 edges.  Weight-N edges join the
+    rest."""
     index = {m: i for i, m in enumerate(fiber)}
-    edges = []
-    for p in sorted({q for m in fiber for q in m}):
-        sub = tuple(x - y for x, y in zip(b, p))
-        edges += [(w, p, u, v) for w, u, v in lower.get(sub, ())]
-    edges.sort(key=lambda e: e[0])
-    parent = list(range(len(fiber)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    tree = []
-    for w, p, u, v in edges:
-        if len(tree) == len(fiber) - 1:
-            break
-        u, v = tuple(sorted(u + (p,))), tuple(sorted(v + (p,)))
-        i, j = find(index[u]), find(index[v])
-        if i != j:
-            parent[i] = j
-            tree.append((w, u, v))
-    roots = [fiber[i] for i in range(len(fiber)) if find(i) == i]
-    return tree + [(N, roots[0], r) for r in roots[1:]]
+    parent = list(range(len(fiber)))  # union-find with path halving
+    tree = [[] for _ in range(N + 1)]
+    need = len(fiber) - 1
+    for w in range(2, N):
+        edges = tree[w]
+        for e, lower in lifts:
+            for u, v in lower[w]:
+                u += e
+                v += e
+                i, j = index[u], index[v]
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if i != j:
+                    parent[i] = j
+                    edges.append((u, v))
+                    need -= 1
+                    if not need:
+                        return tree
+    roots = [m for i, m in enumerate(fiber) if parent[i] == i]
+    tree[N] = [(roots[0], r) for r in roots[1:]]
+    return tree
 
 
 def relation_degree(P, move_degree_max, Dmax, check_normal=True):
@@ -260,6 +284,14 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     per extra component of monomials linked by shared points, count the
     degree-N minimal generators (Diaconis-Sturmfels 1998).
 
+    A monomial is one integer: point i's multiplicity is its own digit of
+    Dmax.bit_length() bits, point 0 in the top digit, so combination order
+    is decreasing code order and unit[p] is the monomial p.  A fiber is keyed
+    by the `_sum_code` integer of its image, and degree N's fibers grow from
+    degree N-1's (`_next_fibers`).  Each tree is kept bucketed by weight, so
+    a fiber's tree lifts the lower trees weight by weight.  Only the
+    witnesses' images are decoded to point tuples.
+
     Normality, the prerequisite, is checked by `is_normal` before any fiber
     is built; a failure raises NormalityPrerequisiteFailed with its
     witness."""
@@ -267,32 +299,49 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
         chk = is_normal(P, Dmax)
         if not chk.ok:
             raise NormalityPrerequisiteFailed(chk.witness)
+    pts = P.lattice_points(1)
+    n, bits = len(pts), Dmax.bit_length()
+    code = _sum_code(pts, Dmax)
+    codes = [code(p, 1) for p in pts]
+    unit = [1 << bits * (n - 1 - p) for p in range(n)]
     overall = 1
     tight = []
     failed = []
     minimal = {}
+    fibers = dict(zip(codes, ([u] for u in unit)))
     trees = {}
     for N in range(2, Dmax + 1):
-        fibers = monomials_by_image(P, N)
+        fibers = _next_fibers(fibers, codes, unit, bits)
         lower, trees = trees, {}
         minimal[N] = 0
         for b, fiber in fibers.items():
             if len(fiber) <= 1:
                 continue
-            tree = _lifted_spanning_tree(fiber, b, lower, N)
+            # codes add without carrying, so b - codes[p] keys a degree-(N-1)
+            # fiber only if that fiber times p lies in this one
+            lifts = [(unit[p], t) for p in range(n)
+                     if (t := lower.get(b - codes[p]))]
+            tree = _lifted_spanning_tree(fiber, lifts, N)
             if N < Dmax:
                 trees[b] = tree
-            minimal[N] += sum(w == N for w, _, _ in tree)
-            d = max(w for w, _, _ in tree)
+            minimal[N] += len(tree[N])
+            d = max(w for w in range(N + 1) if tree[w])
             if d > move_degree_max:
-                failed.append((N, b))
+                failed.append((N, fiber[0]))
             elif d > overall:
                 overall = d
-                tight = [(N, b, d)]
+                tight = [(N, fiber[0], d)]
             elif d == overall and len(tight) < 5:
-                tight.append((N, b, d))
+                tight.append((N, fiber[0], d))
+
+    def image(m):
+        mult = [m >> bits * (n - 1 - p) & (1 << bits) - 1 for p in range(n)]
+        return tuple(sum(k * x for k, x in zip(mult, c)) for c in zip(*pts))
+
     if failed:
-        overall, tight = None, failed[:5]
+        overall, tight = None, [(N, image(m)) for N, m in failed[:5]]
+    else:
+        tight = [(N, image(m), d) for N, m, d in tight]
     return GenerationCertificate(overall, tuple(tight), minimal)
 
 

@@ -321,6 +321,26 @@ def test_verify_move_max_rejected(loopy_path, capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_run(loopy_path, t4_path, capsys):
+    # the parser is built once per process; an error exit leaves nothing
+    # behind that changes a later run's report
+    calls = [["relations", "--graph", loopy_path, "--r", "2,2", "--level",
+              "2", "--dmax", "3"],
+             ["points", "--graph", t4_path, "--r", "1,1,2,2", "--level", "3"]]
+    _build_parser.cache_clear()
+    assert run(["relations", "--graph", loopy_path, "--dmax", "1"]) == 2
+    capsys.readouterr()
+    shared = []
+    for argv in calls:
+        assert run(argv) == 0
+        shared.append(capsys.readouterr().out)
+    assert _build_parser.cache_info().misses == 1
+    for argv, out in zip(calls, shared):
+        _build_parser.cache_clear()
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_level_help_is_the_same_everywhere():
     subparsers = _build_parser()._subparsers._group_actions[0].choices
     helps = {name: a.help for name, sp in subparsers.items()

@@ -253,6 +253,10 @@ def _relation_instances():
     loop3 = graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1)
     yield from_graph(loop3, (2, 2), 2)
     yield from_graph(dbl4(), (2, 2, 2, 2), 2)
+    # larger fibers (up to 45 monomials on dbl4): the fiber order, and so
+    # the witnesses' order, is that of monomials_by_image
+    for g in (loop3, graphs.caterpillar_tree(6), dbl4()):
+        yield from_graph(g, (2,) * g.n_leaves, 4)
 
 
 def test_relation_degree_matches_pairwise_search():
@@ -275,13 +279,18 @@ def test_relation_degree_matches_pairwise_search():
 
 def test_lifted_spanning_tree_takes_light_edges_first():
     # u, v differ in 3 points but are joined through w by two exchanges of
-    # size 2; lifted by the point 0, the tree keeps the two light edges
-    u, v, w = ((1,), (2,), (6,)), ((3,), (3,), (3,)), ((1,), (3,), (5,))
-    fiber = [((0,),) + m for m in (u, v, w)]
-    lower = {(9,): [(3, u, v), (2, u, w), (2, w, v)]}
-    tree = _lifted_spanning_tree(fiber, (9,), lower, 4)
-    assert [e[0] for e in tree] == [2, 2]
-    assert {e[1] for e in tree} <= set(fiber)
+    # size 2; lifted by the point 0, the tree keeps the two light edges.
+    # Monomials are packed over 6 points, 3 bits each, point 0 on top.
+    def pack(*points):
+        return sum(1 << 3 * (5 - p) for p in points)
+
+    u, v, w = pack(1, 2, 5), pack(3, 3, 3), pack(1, 3, 4)
+    e = pack(0)
+    fiber = sorted((m + e for m in (u, v, w)), reverse=True)
+    lower = [[], [], [(u, w), (w, v)], [(u, v)]]
+    tree = _lifted_spanning_tree(fiber, [(e, lower)], 4)
+    assert [len(edges) for edges in tree] == [0, 0, 2, 0, 0]
+    assert {m for edge in tree[2] for m in edge} == set(fiber)
 
 
 @pytest.mark.parametrize("P, counts", [
@@ -298,10 +307,13 @@ def test_minimal_relation_counts(P, counts):
 def test_relation_degree_requires_normality(monkeypatch):
     # the prerequisite is is_normal's, raised with its (N, point) witness
     # before any fiber is built
-    def no_fibers(P, N):
-        raise AssertionError(f"degree-{N} fibers built")
+    def no_fibers(*args):
+        raise AssertionError("fibers built")
 
-    monkeypatch.setattr(toric, "monomials_by_image", no_fibers)
+    monkeypatch.setattr(toric, "_next_fibers", no_fibers)
+    # relation_degree builds its fibers through the patched function
+    with pytest.raises(AssertionError, match="fibers built"):
+        relation_degree(interval(3), 3, 4)
     for P, D in [
         (with_full_lattice(p3(1)), 4),
         (from_graph(graphs.enumerate_graphs(2, 1)[1], (0,), 3), 3),
