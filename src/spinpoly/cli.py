@@ -92,7 +92,8 @@ def _build_parser():
 
     sp = sub.add_parser("relations", help="ideal generation degree")
     add_graph_args(sp)
-    sp.add_argument("--move-max", type=int, default=3)
+    sp.add_argument("--move-max", type=_at_least(1, "move degree bound"),
+                    default=3)
     sp.add_argument("--dmax", type=_degree_bound, default=4)
 
     sp = sub.add_parser("gb-check", help="quadratic square-free GB check "
@@ -262,8 +263,8 @@ def _dispatch(args):
         }
 
     if cmd == "gb-check":
-        wp, assembly = boxtimes_assemble(g, r, L)
-        chk = quadratic_squarefree_gb(wp.polytope, wp.order, args.dmax)
+        order, assembly = boxtimes_assemble(g, r, L)
+        chk = quadratic_squarefree_gb(assembly.polytope, order, args.dmax)
         return chk.ok, {"dmax": args.dmax}, {
             "pass": chk.ok,
             "detail": chk.witness if isinstance(chk.witness, dict) else None,

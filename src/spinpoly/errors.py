@@ -45,21 +45,9 @@ class BaseMismatch(SpinpolyError):
     pass
 
 
-# -- term orders / category ----------------------------------------------
-
-class NotFlag(SpinpolyError):
-    pass
-
+# -- term orders ----------------------------------------------------------
 
 class NotTotal(SpinpolyError):
-    pass
-
-
-class NotAPolytopeMap(SpinpolyError):
-    pass
-
-
-class NonUniqueBase(SpinpolyError):
     pass
 
 

@@ -364,11 +364,6 @@ def interval(L):
                           LatticeMap(((1,),)))
 
 
-def point_polytope():
-    """The 0-dimensional polytope (fiber products over it are products)."""
-    return GradedPolytope(0, (), (), (), LatticeMap(()))
-
-
 _HALVE3 = LatticeMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2)
 _TRIANGLE_BASIS = LatticeMap(((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2)
 
@@ -391,76 +386,8 @@ def p3(L, even_edges=False):
     return GradedPolytope(3, tuple(ineqs), (), tuple(psets), trans)
 
 
-def p3_fixed1(r, L):
-    """Trinode with first edge pinned to r."""
-    if r < 0 or L < 0 or r > 2 * L:
-        raise InvalidParams(f"need 0 <= r <= 2L, got r={r}, L={L}")
-    base = p3(L)
-    eqs = ((_unit(3, 0), r),)
-    trans = None
-    if r % 2 == 0:
-        # lattice {w2 + w3 even}: basis ((w2+w3)/2, (w2-w3)/2), w1 pinned
-        trans = LatticeMap(((1, 0, 0), (0, 1, 1), (0, 1, -1)), 2)
-    return GradedPolytope(3, base.inequalities, eqs, base.parity_sets, trans)
-
-
-def p3_fixed2(r, s, L):
-    """Trinode with two edges pinned to r and s; the free weight t ranges
-    over |r-s| <= t <= min(r+s, 2L-r-s) with t = r+s mod 2.  For r + s even
-    the lattice map halves t, and r and s too when they are even."""
-    if r < 0 or s < 0 or L < 0 or r > 2 * L or s > 2 * L:
-        raise InvalidParams(f"need 0 <= r,s <= 2L, got r={r}, s={s}, L={L}")
-    base = p3(L)
-    eqs = ((_unit(3, 0), r), (_unit(3, 1), s))
-    trans = None
-    if (r + s) % 2 == 0:
-        h = 1 + r % 2
-        trans = LatticeMap(((h, 0, 0), (0, h, 0), (0, 0, 1)), 2)
-    return GradedPolytope(3, base.inequalities, eqs, base.parity_sets, trans)
-
-
-def loop_b(L):
-    """Loop-with-edge block: coordinates (x, y), y <= 2x, 2x + y <= 2L,
-    trinode sum 2x + y even (so y even)."""
-    if L < 0:
-        raise InvalidParams("L must be nonnegative")
-    ineqs = (
-        ((-1, 0), 0),
-        ((0, -1), 0),
-        ((-2, 1), 0),
-        ((2, 1), 2 * L),
-    )
-    return GradedPolytope(2, ineqs, (), ((0, 0, 1),),
-                          LatticeMap(((2, 0), (0, 1)), 2))
-
-
-def loop_b2(L):
-    """Doubled-edge block at level 2L: coordinates (a, y1, y2, c) with both
-    trinode systems, outer edges a, c even.  Lattice coordinates are
-    (x, z, A, B) = (a/2, c/2, (y1-y2)/2, (y1+y2)/2)."""
-    if L < 0:
-        raise InvalidParams("L must be nonnegative")
-    ineqs = [(_unit(4, i, -1), 0) for i in range(4)]
-    rows_u, pset_u = _trinode_rows(4, (0, 1, 2), 2 * L)
-    rows_v, pset_v = _trinode_rows(4, (3, 1, 2), 2 * L)
-    ineqs.extend(rows_u)
-    ineqs.extend(rows_v)
-    psets = (pset_u, pset_v, (0,), (3,))
-    return GradedPolytope(4, tuple(ineqs), (), psets, B2_COORDS)
-
-
 def with_full_lattice(P):
     return replace(P, parity_sets=(), to_lattice=None)
-
-
-# -- B_2 change of coordinates and quadrants -----------------------------
-
-
-# (a, y1, y2, c) -> (x, z, A, B) = (a/2, c/2, (y1-y2)/2, (y1+y2)/2), and back
-B2_COORDS = LatticeMap(((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, -1, 0),
-                        (0, 1, 1, 0)), 2)
-B2_COORDS_INVERSE = LatticeMap(((2, 0, 0, 0), (0, 0, 1, 1), (0, 0, -1, 1),
-                                (0, 2, 0, 0)))
 
 
 def quadrant(q, L):
@@ -517,10 +444,7 @@ class FiberProduct:
     """A fiber product P1 x_Q P2 on concatenated coordinates."""
 
     polytope: GradedPolytope
-    p1: GradedPolytope
-    p2: GradedPolytope
-    offset: int  # dim of p1; p2 coordinates start here
-    glued_pairs: tuple = ()  # (i, j) native coordinate pairs with w_i = w_j
+    offset: int  # dim of P1; P2's coordinates start here
 
 
 def fiber_product(P1, f1, P2, f2):
@@ -541,16 +465,12 @@ def fiber_product(P1, f1, P2, f2):
     ineqs += [(pad2(r), b) for r, b in P2.inequalities]
     eqs = [(pad1(r), b) for r, b in P1.equalities]
     eqs += [(pad2(r), b) for r, b in P2.equalities]
-    glued = []
     den = lcm(f1.den, f2.den)
     k1, k2 = den // f1.den, den // f2.den
     for r1, r2 in zip(f1.rows, f2.rows):
         row = tuple(k1 * c for c in r1) + tuple(-k2 * c for c in r2)
         g = gcd(den, *row)
         eqs.append((tuple(c // g for c in row), 0))
-        nz = [j for j, c in enumerate(row) if c]
-        if len(nz) == 2 and nz[0] < d1 <= nz[1] and row[nz[0]] == -row[nz[1]]:
-            glued.append(tuple(nz))
     psets = [tuple(s) for s in P1.parity_sets]
     psets += [tuple(d1 + i for i in s) for s in P2.parity_sets]
     trans = None
@@ -561,7 +481,7 @@ def fiber_product(P1, f1, P2, f2):
         rows += [pad2(den // t2.den * c for c in r) for r in t2.rows]
         trans = LatticeMap(tuple(rows), den)
     poly = GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets), trans)
-    return FiberProduct(poly, P1, P2, d1, tuple(glued))
+    return FiberProduct(poly, d1)
 
 
 # -- assembly ------------------------------------------------------------
@@ -649,37 +569,3 @@ def assemble(eg, r, L, even_interior=False):
         steps.append(f"x_[0,{L}] component{c}:{comps[c][1]}")
     return Assembly(acc, tuple(comps), tuple(steps), tuple(coord_map))
 
-
-# -- the cubic-relation region -------------------------------------------
-
-
-def trinode_cubic_region():
-    """The standard region of the trinode polytope at the origin whose toric
-    ideal needs a cubic generator: in triangle-basis coordinates it is the
-    unit cube intersected with the simplex; in edge coordinates its degree-1
-    points are (0,0,0),(1,1,2),(1,2,1),(2,1,1),(2,2,2)."""
-    ineqs = []
-    # t_i >= 0: the triangle inequalities
-    for i in range(3):
-        row = [0] * 3
-        row[i] = -1
-        row[(i + 1) % 3] = 1
-        row[(i + 2) % 3] = 1
-        ineqs.append((tuple(-c for c in row), 0))
-    # t_i <= 1: w_j + w_k - w_i <= 2
-    for i in range(3):
-        row = [0] * 3
-        row[i] = -1
-        row[(i + 1) % 3] = 1
-        row[(i + 2) % 3] = 1
-        ineqs.append((tuple(row), 2))
-    # triangle inequalities on t: w_j + w_k <= 3 w_i
-    for i in range(3):
-        row = [1, 1, 1]
-        row[i] = -3
-        ineqs.append((tuple(row), 0))
-    # implied box 0 <= w_i <= 2 (w_i = t_j + t_k with t in the unit cube)
-    for i in range(3):
-        ineqs.append((_unit(3, i, -1), 0))
-        ineqs.append((_unit(3, i), 2))
-    return GradedPolytope(3, tuple(ineqs), (), ((0, 1, 2),), _TRIANGLE_BASIS)

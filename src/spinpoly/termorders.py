@@ -1,57 +1,31 @@
-"""Term weights and orders on lattice points and monomials.
+"""Total term orders on lattice points and monomials.
 
-A TermWeight assigns a rational weight to each lattice point; a monomial's
-weight is the sum over its points.  A TotalOrder additionally carries a point
-tie-break key; monomials are compared by (degree, weight, point keys sorted
-decreasingly), which uniformly realizes lex-on-sorted-sequences, the
-doubled-edge cascade, and the concatenation (boxtimes) rule.
+A TotalOrder gives each lattice point a weight and a tie-break key;
+monomials are compared by (degree, weight, point keys sorted decreasingly),
+which uniformly realizes lex-on-sorted-sequences, the doubled-edge cascade,
+and the concatenation (boxtimes) rule.
 
 A monomial is a multiset of lattice points: the sorted tuple of its points,
 as `combinations_with_replacement` yields it over the sorted points of P.
-Standard monomials are the weight-minimal members of their fiber: the set of
-same-degree monomials with the same coordinate sum.
+Its fiber is the set of same-degree monomials with the same coordinate sum,
+and its standard monomial is the fiber's least member under the order.
 """
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
-from .errors import NotFlag, NotTotal
+from .errors import NotTotal
 
 
 def sigma_squared(v):
     return sum(x * x for x in v)
 
 
-# -- weights and orders ---------------------------------------------------
+# -- orders ---------------------------------------------------------------
 
 
-class TermWeight:
-    """Weight function on lattice points; kind is a readable tag."""
-
-    def __init__(self, fn, kind="custom"):
-        self._fn = fn
-        self.kind = kind
-
-    def weight(self, point):
-        return self._fn(point)
-
-    def monomial_weight(self, m):
-        return sum(map(self.weight, m))
-
-    @classmethod
-    def sigma2(cls, transform=None):
-        if transform is None:
-            return cls(sigma_squared, "sigma2")
-        return cls(lambda p: sigma_squared(transform(p)), "sigma2∘T")
-
-    @classmethod
-    def zero(cls):
-        return cls(lambda p: 0, "zero")
-
-
-class TotalOrder(TermWeight):
-    """TermWeight completed by a total point key.
+class TotalOrder:
+    """A total order from one point table.
 
     entry(p) = (weight, point key), the key holding the declared tie-breaks;
     monomial_key(m) = (degree, total weight, point keys sorted in decreasing
@@ -61,8 +35,7 @@ class TotalOrder(TermWeight):
     use and then looked up, so the lattice transform and the factor orders
     of a boxtimes order run once per point."""
 
-    def __init__(self, entry, kind="total"):
-        self.kind = kind
+    def __init__(self, entry):
         self._entry = entry
         self._table = {}
 
@@ -71,12 +44,6 @@ class TotalOrder(TermWeight):
         if e is None:
             e = self._table[point] = self._entry(point)
         return e
-
-    def weight(self, point):
-        return self.entry(point)[0]
-
-    def point_key(self, point):
-        return self.entry(point)[1]
 
     def monomial_key(self, m):
         weights, keys = zip(*map(self.entry, m))
@@ -95,7 +62,7 @@ def sigma2_lex_order(transform=None):
         s = sigma_squared(q)
         return s, (s, q)
 
-    return TotalOrder(entry, "sigma2-lex")
+    return TotalOrder(entry)
 
 
 def b2_cascade_order(transform=None):
@@ -108,68 +75,21 @@ def b2_cascade_order(transform=None):
         s = sigma_squared((x, z, A, B))
         return s, (s, B, z, x, A)
 
-    return TotalOrder(entry, "b2-cascade")
+    return TotalOrder(entry)
 
 
 def boxtimes_order(o1, o2, split):
     """Concatenation order on fiber-product points (first `split` coordinates
     from the left factor): weight is the sum of factor weights; ties broken by
     the left factor's total key, then the right's."""
-    if not isinstance(o1, TotalOrder) or not isinstance(o2, TotalOrder):
-        raise NotTotal("boxtimes needs total component orders")
-
     def entry(p):
         (w1, k1), (w2, k2) = o1.entry(p[:split]), o2.entry(p[split:])
         return w1 + w2, (k1, k2)
 
-    return TotalOrder(entry, "boxtimes")
+    return TotalOrder(entry)
 
 
 # -- fibers and standard monomials ---------------------------------------
-
-
-def fiber_set(P, b, N):
-    """All degree-N multisets of lattice points of P with coordinate sum b."""
-    pts = P.lattice_points(1)
-    b = tuple(b)
-    out = []
-    if N == 0:
-        return [()] if all(x == 0 for x in b) else []
-    dim = len(b)
-    n = len(pts)
-    # suffix coordinate extremes over pts[i:] for pruning
-    sufmin = [[0] * dim for _ in range(n + 1)]
-    sufmax = [[0] * dim for _ in range(n + 1)]
-    if n:
-        sufmin[n - 1] = list(pts[n - 1])
-        sufmax[n - 1] = list(pts[n - 1])
-    for i in range(n - 2, -1, -1):
-        for k in range(dim):
-            sufmin[i][k] = min(pts[i][k], sufmin[i + 1][k])
-            sufmax[i][k] = max(pts[i][k], sufmax[i + 1][k])
-
-    chosen = []
-
-    def dfs(i, rem, target):
-        if rem == 0:
-            if all(x == 0 for x in target):
-                out.append(tuple(chosen))
-            return
-        if i == n:
-            return
-        for k in range(dim):
-            if target[k] < rem * sufmin[i][k] or target[k] > rem * sufmax[i][k]:
-                return
-        # skip pts[i] entirely
-        dfs(i + 1, rem, target)
-        # or take it (staying at i allows multiplicity)
-        p = pts[i]
-        chosen.append(p)
-        dfs(i, rem - 1, tuple(t - x for t, x in zip(target, p)))
-        chosen.pop()
-
-    dfs(0, N, b)
-    return sorted(out)
 
 
 def monomials_by_image(P, N):
@@ -182,32 +102,9 @@ def monomials_by_image(P, N):
 
 
 def standard_monomials(P, order, N):
-    """Weight-minimal monomials of each nonempty degree-N fiber; exactly one
-    per fiber when `order` is total."""
-    if N == 0:
-        return {()}
-    if N == 1:
-        return {(p,) for p in P.lattice_points(1)}
-    out = set()
-    for b, fiber in monomials_by_image(P, N).items():
-        out.update(_fiber_minima(fiber, order))
-    return out
-
-
-def _fiber_minima(fiber, order):
-    if isinstance(order, TotalOrder):
-        return [min(fiber, key=order.monomial_key)]
-    ws = [order.monomial_weight(m) for m in fiber]
-    wmin = min(ws)
-    return [m for m, w in zip(fiber, ws) if w == wmin]
-
-
-def has_unique_standard_monomials(P, order, D):
-    for N in range(2, D + 1):
-        for b, fiber in monomials_by_image(P, N).items():
-            if len(_fiber_minima(fiber, order)) != 1:
-                return False
-    return True
+    """The least monomial of each nonempty degree-N fiber under `order`."""
+    return {min(fiber, key=order.monomial_key)
+            for fiber in monomials_by_image(P, N).values()}
 
 
 @dataclass
@@ -217,24 +114,6 @@ class Check:
 
     def __bool__(self):
         return self.ok
-
-
-def is_flag(P, order, D):
-    """Check that standardness is equivalent to 'all degree-2 divisors and
-    the matching pure powers are standard', for all monomials of degree <= D.
-    Returns Check(ok, counterexample monomial)."""
-    std = {N: standard_monomials(P, order, N) for N in range(2, D + 1)}
-    for N in range(3, D + 1):
-        for m in combinations_with_replacement(P.lattice_points(1), N):
-            predicted = all(d in std[2] for d in combinations(m, 2))
-            if predicted:
-                for p, mult in Counter(m).items():
-                    if mult >= 3 and (p,) * mult not in std[mult]:
-                        predicted = False
-                        break
-            if predicted != (m in std[N]):
-                return Check(False, m)
-    return Check(True)
 
 
 def _sum_code(points, D):
@@ -345,29 +224,3 @@ def _balanced_decomposition_exists(tset, target, N):
 
     return dfs(0, N, need)
 
-
-def initial_complex_maximal_faces(P, order, D):
-    """Maximal supports all of whose monomials are standard, computed from the
-    pair/power criterion (exact for flag orders); requires is_flag to D."""
-    chk = is_flag(P, order, D)
-    if not chk.ok:
-        raise NotFlag(f"order is not flag to degree {D}: {chk.witness}")
-    std2 = standard_monomials(P, order, 2)
-    # only points with standard squares can appear in a face at all
-    good = [p for p in P.lattice_points(1) if (p, p) in std2]
-    adj = {p: {q for q in good if q != p and (min(p, q), max(p, q)) in std2}
-           for p in good}
-    faces = set()
-
-    def expand(clique, cand, done):  # Bron-Kerbosch with pivoting
-        if not cand and not done:
-            faces.add(clique)
-            return
-        pivot = max(cand | done, key=lambda u: len(cand & adj[u]))
-        for v in cand - adj[pivot]:
-            expand(clique | {v}, cand & adj[v], done & adj[v])
-            cand = cand - {v}
-            done = done | {v}
-
-    expand(frozenset(), set(good), set())
-    return faces - {frozenset()}

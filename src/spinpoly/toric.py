@@ -9,11 +9,7 @@ from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
-from .errors import (
-    HypothesisViolated,
-    NormalityPrerequisiteFailed,
-    NotTotal,
-)
+from .errors import HypothesisViolated, NormalityPrerequisiteFailed
 from .graphs import (
     GraphClass,
     classify,
@@ -25,15 +21,7 @@ from .graphs import (
 )
 from .catp import boxtimes_assemble
 from .polytopes import from_graph, require_degree_one_point
-from .termorders import (
-    Check,
-    TotalOrder,
-    is_balanced,
-    monomials_by_image,
-    standard_monomials,
-    _fiber_minima,
-    _sum_code,
-)
+from .termorders import Check, is_balanced, standard_monomials, _sum_code
 
 
 def _table(entries):
@@ -199,21 +187,6 @@ def is_normal(P, Dmax):
     return Check(True)
 
 
-def degree_two_relations(P, order):
-    """Pairs (nonstandard degree-2 monomial, the standard one in its fiber),
-    sorted."""
-    out = []
-    for b, fiber in monomials_by_image(P, 2).items():
-        if len(fiber) < 2:
-            continue
-        minima = _fiber_minima(fiber, order)
-        std = minima[0]
-        for m in fiber:
-            if m not in minima:
-                out.append((m, std))
-    return sorted(out)
-
-
 @dataclass
 class GenerationCertificate:
     relation_degree: int  # least d making all fibers connected; None if > bound
@@ -276,7 +249,7 @@ def _lifted_spanning_tree(fiber, lifts, N):
     return tree
 
 
-def relation_degree(P, move_degree_max, Dmax, check_normal=True):
+def relation_degree(P, move_degree_max, Dmax):
     """Fiber-graph connectivity: the toric ideal is generated in degree <= d
     (up to the checked bound) iff every fiber of every degree <= Dmax is
     connected by exchanges of sub-multisets of size <= d.  A fiber's least d
@@ -295,10 +268,9 @@ def relation_degree(P, move_degree_max, Dmax, check_normal=True):
     Normality, the prerequisite, is checked by `is_normal` before any fiber
     is built; a failure raises NormalityPrerequisiteFailed with its
     witness."""
-    if check_normal:
-        chk = is_normal(P, Dmax)
-        if not chk.ok:
-            raise NormalityPrerequisiteFailed(chk.witness)
+    chk = is_normal(P, Dmax)
+    if not chk.ok:
+        raise NormalityPrerequisiteFailed(chk.witness)
     pts = P.lattice_points(1)
     n, bits = len(pts), Dmax.bit_length()
     code = _sum_code(pts, Dmax)
@@ -357,11 +329,10 @@ def generation(P, move_degree_max, Dmax):
 
 def quadratic_squarefree_gb(P, order, Dmax):
     """Certify (to degree Dmax) that the quadratic binomials with nonstandard
-    leading terms form a square-free Groebner basis: all squares must be
-    standard, and the count of monomials avoiding the nonstandard degree-2
-    leading terms must match the Hilbert function in every degree."""
-    if not isinstance(order, TotalOrder):
-        raise NotTotal("a total order is required")
+    leading terms form a square-free Groebner basis under the total order
+    `order`: all squares must be standard, and the count of monomials
+    avoiding the nonstandard degree-2 leading terms must match the Hilbert
+    function in every degree."""
     pts = list(P.lattice_points(1))
     std2 = standard_monomials(P, order, 2)
     for p in pts:
@@ -518,7 +489,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             raise HypothesisViolated(f"graph class {cls.value} not allowed")
         if any(x % 2 for x in r):
             raise HypothesisViolated("all leaf weights must be even")
-        wp, assembly = boxtimes_assemble(g, r, level)
+        order, assembly = boxtimes_assemble(g, r, level)
         witnesses = []
         if name == "d2bp":
             t1 = time.perf_counter()
@@ -531,7 +502,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
                     witnesses.append(bal.witness)
             timings["blocks"] = time.perf_counter() - t1
         t1 = time.perf_counter()
-        gb = quadratic_squarefree_gb(wp.polytope, wp.order, dmax)
+        gb = quadratic_squarefree_gb(assembly.polytope, order, dmax)
         timings["gb"] = time.perf_counter() - t1
         if not gb.ok:
             witnesses.append(gb.witness)

@@ -1,7 +1,9 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent brute-force oracles for the test suite, and the building
+blocks, weights and fiber-product checks that only the tests use.
 
-Deliberately naive: box scans with no propagation or pruning, so results are
-computed by a different route than the library's enumerator."""
+The oracles are deliberately naive: box scans with no propagation or
+pruning, so results are computed by a different route than the library's
+enumerator."""
 
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
+from spinpoly.errors import InvalidParams
 from spinpoly.graphs import (
     MarkedGraph,
     _canonical_key,
@@ -17,16 +20,102 @@ from spinpoly.graphs import (
     validate,
 )
 from spinpoly.polytopes import (
+    GradedPolytope,
+    LatticeMap,
     interval,
-    loop_b,
-    loop_b2,
     p3,
-    p3_fixed1,
-    p3_fixed2,
     quadrant,
+    _TRIANGLE_BASIS,
+    _trinode_rows,
+    _unit,
 )
-from spinpoly.termorders import Check, monomials_by_image
+from spinpoly.termorders import Check, monomials_by_image, standard_monomials
 from spinpoly.toric import GenerationCertificate
+
+
+# -- building blocks that no command builds ------------------------------
+
+
+def point_polytope():
+    """The 0-dimensional polytope (fiber products over it are products)."""
+    return GradedPolytope(0, (), (), (), LatticeMap(()))
+
+
+def p3_fixed1(r, L):
+    """Trinode with first edge pinned to r."""
+    if r < 0 or L < 0 or r > 2 * L:
+        raise InvalidParams(f"need 0 <= r <= 2L, got r={r}, L={L}")
+    base = p3(L)
+    eqs = ((_unit(3, 0), r),)
+    trans = None
+    if r % 2 == 0:
+        # lattice {w2 + w3 even}: basis ((w2+w3)/2, (w2-w3)/2), w1 pinned
+        trans = LatticeMap(((1, 0, 0), (0, 1, 1), (0, 1, -1)), 2)
+    return GradedPolytope(3, base.inequalities, eqs, base.parity_sets, trans)
+
+
+def p3_fixed2(r, s, L):
+    """Trinode with two edges pinned to r and s; the free weight t ranges
+    over |r-s| <= t <= min(r+s, 2L-r-s) with t = r+s mod 2.  For r + s even
+    the lattice map halves t, and r and s too when they are even."""
+    if r < 0 or s < 0 or L < 0 or r > 2 * L or s > 2 * L:
+        raise InvalidParams(f"need 0 <= r,s <= 2L, got r={r}, s={s}, L={L}")
+    base = p3(L)
+    eqs = ((_unit(3, 0), r), (_unit(3, 1), s))
+    trans = None
+    if (r + s) % 2 == 0:
+        h = 1 + r % 2
+        trans = LatticeMap(((h, 0, 0), (0, h, 0), (0, 0, 1)), 2)
+    return GradedPolytope(3, base.inequalities, eqs, base.parity_sets, trans)
+
+
+def loop_b(L):
+    """Loop-with-edge block: coordinates (x, y), y <= 2x, 2x + y <= 2L,
+    trinode sum 2x + y even (so y even)."""
+    if L < 0:
+        raise InvalidParams("L must be nonnegative")
+    ineqs = (((-1, 0), 0), ((0, -1), 0), ((-2, 1), 0), ((2, 1), 2 * L))
+    return GradedPolytope(2, ineqs, (), ((0, 0, 1),),
+                          LatticeMap(((2, 0), (0, 1)), 2))
+
+
+# (a, y1, y2, c) -> (x, z, A, B) = (a/2, c/2, (y1-y2)/2, (y1+y2)/2), and back
+B2_COORDS = LatticeMap(((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, -1, 0),
+                        (0, 1, 1, 0)), 2)
+B2_COORDS_INVERSE = LatticeMap(((2, 0, 0, 0), (0, 0, 1, 1), (0, 0, -1, 1),
+                                (0, 2, 0, 0)))
+
+
+def loop_b2(L):
+    """Doubled-edge block at level 2L: coordinates (a, y1, y2, c) with both
+    trinode systems, outer edges a, c even.  Lattice coordinates are
+    (x, z, A, B) = (a/2, c/2, (y1-y2)/2, (y1+y2)/2)."""
+    if L < 0:
+        raise InvalidParams("L must be nonnegative")
+    ineqs = [(_unit(4, i, -1), 0) for i in range(4)]
+    rows_u, pset_u = _trinode_rows(4, (0, 1, 2), 2 * L)
+    rows_v, pset_v = _trinode_rows(4, (3, 1, 2), 2 * L)
+    psets = (pset_u, pset_v, (0,), (3,))
+    return GradedPolytope(4, tuple(ineqs + rows_u + rows_v), (), psets,
+                          B2_COORDS)
+
+
+def trinode_cubic_region():
+    """The standard region of the trinode polytope at the origin whose toric
+    ideal needs a cubic generator: in triangle-basis coordinates it is the
+    unit cube intersected with the simplex; in edge coordinates its degree-1
+    points are (0,0,0),(1,1,2),(1,2,1),(2,1,1),(2,2,2)."""
+    # t_i = (w_j + w_k - w_i) / 2 in the triangle basis
+    t = [tuple(-1 if j == i else 1 for j in range(3)) for i in range(3)]
+    ineqs = [(tuple(-c for c in row), 0) for row in t]  # t_i >= 0
+    ineqs += [(row, 2) for row in t]  # t_i <= 1
+    # triangle inequalities on t: w_j + w_k <= 3 w_i
+    ineqs += [(tuple(-3 if j == i else 1 for j in range(3)), 0)
+              for i in range(3)]
+    # implied box 0 <= w_i <= 2 (w_i = t_j + t_k with t in the unit cube)
+    for i in range(3):
+        ineqs += [(_unit(3, i, -1), 0), (_unit(3, i), 2)]
+    return GradedPolytope(3, tuple(ineqs), (), ((0, 1, 2),), _TRIANGLE_BASIS)
 
 
 def in_parity_lattice(P, point):
@@ -289,20 +378,164 @@ def naive_relation_degree(P, move_degree_max, Dmax):
     return GenerationCertificate(overall, tuple(tight), minimal)
 
 
-def naive_is_flag(P, order, D):
-    """is_flag by a second route, for a total order: each degree's standard
-    monomials are the key-minimal members of fibers grouped here by
-    coordinate sum, and a monomial's degree-2 divisors are the pairs of its
-    distinct points that it holds as a sub-multiset.  Returns (ok, the first
-    monomial in combination order whose standardness the pair and pure-power
-    criterion mispredicts)."""
+def fiber_set(P, b, N):
+    """All degree-N multisets of lattice points of P with coordinate sum b,
+    by a depth-first search over the points pruned by suffix bounds."""
+    pts = P.lattice_points(1)
+    b = tuple(b)
+    out = []
+    if N == 0:
+        return [()] if all(x == 0 for x in b) else []
+    dim = len(b)
+    n = len(pts)
+    # suffix coordinate extremes over pts[i:] for pruning
+    sufmin = [[0] * dim for _ in range(n + 1)]
+    sufmax = [[0] * dim for _ in range(n + 1)]
+    if n:
+        sufmin[n - 1] = list(pts[n - 1])
+        sufmax[n - 1] = list(pts[n - 1])
+    for i in range(n - 2, -1, -1):
+        for k in range(dim):
+            sufmin[i][k] = min(pts[i][k], sufmin[i + 1][k])
+            sufmax[i][k] = max(pts[i][k], sufmax[i + 1][k])
+
+    chosen = []
+
+    def dfs(i, rem, target):
+        if rem == 0:
+            if all(x == 0 for x in target):
+                out.append(tuple(chosen))
+            return
+        if i == n:
+            return
+        for k in range(dim):
+            if target[k] < rem * sufmin[i][k] or target[k] > rem * sufmax[i][k]:
+                return
+        # skip pts[i] entirely
+        dfs(i + 1, rem, target)
+        # or take it (staying at i allows multiplicity)
+        p = pts[i]
+        chosen.append(p)
+        dfs(i, rem - 1, tuple(t - x for t, x in zip(target, p)))
+        chosen.pop()
+
+    dfs(0, N, b)
+    return sorted(out)
+
+
+def degree_two_relations(P, order):
+    """Pairs (nonstandard degree-2 monomial, the standard one in its fiber),
+    sorted."""
+    out = []
+    for fiber in monomials_by_image(P, 2).values():
+        std = min(fiber, key=order.monomial_key)
+        out += [(m, std) for m in fiber if m != std]
+    return sorted(out)
+
+
+# -- weights that may tie, and the fiber-product checks -------------------
+
+
+def key_minima(order):
+    """A fiber's standard members under a total order: its least one."""
+    return lambda fiber: [min(fiber, key=order.monomial_key)]
+
+
+def weight_minima(weight):
+    """A fiber's standard members under a point weight that may tie: every
+    member of least total weight."""
+    def minima(fiber):
+        ws = [sum(map(weight, m)) for m in fiber]
+        least = min(ws)
+        return [m for m, w in zip(fiber, ws) if w == least]
+    return minima
+
+
+def standard_sets(P, minima, N):
+    """The standard degree-N monomials of P: each fiber's minima."""
+    return {m for fiber in monomials_by_image(P, N).values()
+            for m in minima(fiber)}
+
+
+def sum_weight(o1, o2, split):
+    """The weight Σ1 ⊕ Σ2 on concatenated coordinates: the first `split`
+    from the left factor.  It is not total: fibers may tie."""
+    return lambda p: o1.entry(p[:split])[0] + o2.entry(p[split:])[0]
+
+
+def split_monomial(offset, m):
+    return (tuple(sorted(p[:offset] for p in m)),
+            tuple(sorted(p[offset:] for p in m)))
+
+
+def product_standard_characterization(fp, P1, P2, o1, o2, D):
+    """Check: a monomial of the fiber product of P1 and P2 is
+    (Σ1⊕Σ2)-standard iff both of its projections are standard, for degrees
+    2..D."""
+    minima = weight_minima(sum_weight(o1, o2, fp.offset))
+    for N in range(2, D + 1):
+        std1 = standard_monomials(P1, o1, N)
+        std2 = standard_monomials(P2, o2, N)
+        for fiber in monomials_by_image(fp.polytope, N).values():
+            least = minima(fiber)
+            for m in fiber:
+                l, r = split_monomial(fp.offset, m)
+                if (l in std1 and r in std2) != (m in least):
+                    return Check(False, m)
+    return Check(True)
+
+
+def _single_support_row(trans, coord):
+    """Index of a transform row supported exactly on `coord`, or None."""
+    if trans is None:
+        return None
+    for k, row in enumerate(trans.rows):
+        if row[coord] != 0 and all(c == 0 for j, c in enumerate(row) if j != coord):
+            return k
+    return None
+
+
+def verify_double_weight_equivalence(fp, glued_pairs, D):
+    """Standard monomials under the doubled weight Σ²⊕Σ² (each glued
+    coordinate counted in both factors) agree with plain Σ² (counted once),
+    to degree D.  Uses the product's lattice-coordinate transform."""
+    P = fp.polytope
+    glue_rows = []
+    for i, j in glued_pairs:
+        k = _single_support_row(P.to_lattice, j)
+        if k is None:
+            return Check(False, "no coordinate row for glued pair")
+        glue_rows.append(k)
+
+    def doubled(p):
+        return sum(x * x for x in P.transform_point(p))
+
+    def plain(p):
+        t = P.transform_point(p)
+        return sum(x * x for x in t) - sum(t[k] * t[k] for k in glue_rows)
+
+    for N in range(2, D + 1):
+        if standard_sets(P, weight_minima(doubled), N) != \
+                standard_sets(P, weight_minima(plain), N):
+            return Check(False, N)
+    return Check(True)
+
+
+def naive_is_flag(P, minima, D):
+    """The flag property: standardness is equivalent to 'all degree-2
+    divisors and the matching pure powers are standard', for all monomials
+    of degree <= D.  Each degree's standard monomials are the `minima` of
+    fibers grouped here by coordinate sum, and a monomial's degree-2
+    divisors are the pairs of its distinct points that it holds as a
+    sub-multiset.  Returns (ok, the first monomial in combination order
+    whose standardness the pair and pure-power criterion mispredicts)."""
     pts = P.lattice_points(1)
     std = {}
     for N in range(2, D + 1):
         fibers = {}
         for m in combinations_with_replacement(pts, N):
             fibers.setdefault(tuple(map(sum, zip(*m))), []).append(m)
-        std[N] = {min(f, key=order.monomial_key) for f in fibers.values()}
+        std[N] = {s for f in fibers.values() for s in minima(f)}
     for N in range(3, D + 1):
         for m in combinations_with_replacement(pts, N):
             count = Counter(m)

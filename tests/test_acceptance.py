@@ -6,38 +6,23 @@ import time
 from itertools import product as iproduct
 
 from spinpoly import graphs
-from spinpoly.catp import (
-    product_standard_characterization,
-    verify_double_weight_equivalence,
-)
 from spinpoly.polytopes import (
-    B2_COORDS,
-    B2_COORDS_INVERSE,
     LatticeMap,
     edge_projection,
     fiber_product,
     from_graph,
     interval,
-    loop_b,
-    loop_b2,
     p3,
-    p3_fixed1,
-    p3_fixed2,
     quadrant,
-    trinode_cubic_region,
     with_full_lattice,
 )
 from spinpoly.termorders import (
-    fiber_set,
     is_balanced,
-    is_flag,
     sigma2_lex_order,
     sigma_squared,
     standard_monomials,
 )
-from spinpoly.catp import sum_weight
 from spinpoly.toric import (
-    degree_two_relations,
     hilbert,
     is_normal,
     quadratic_squarefree_gb,
@@ -45,7 +30,25 @@ from spinpoly.toric import (
     verify_theorem,
 )
 
-from helpers import balance_tuple, is_slice_balanced
+from helpers import (
+    B2_COORDS,
+    B2_COORDS_INVERSE,
+    balance_tuple,
+    degree_two_relations,
+    fiber_set,
+    fraction_glue_rows,
+    is_slice_balanced,
+    loop_b,
+    loop_b2,
+    naive_is_flag,
+    p3_fixed1,
+    p3_fixed2,
+    product_standard_characterization,
+    sum_weight,
+    trinode_cubic_region,
+    verify_double_weight_equivalence,
+    weight_minima,
+)
 
 
 def report(criterion, ok, detail=""):
@@ -199,16 +202,18 @@ def test_criterion_7_category_closure():
         fp = fiber_product(P1, f1, P2, f2)
         o1 = sigma2_lex_order(P1.transform_point)
         o2 = sigma2_lex_order(P2.transform_point)
+        _, glued = fraction_glue_rows(f1, f2, P1.dim)
         checks = {
             "characterization":
-                product_standard_characterization(fp, o1, o2, D).ok,
-            "flag": is_flag(fp.polytope,
-                            sum_weight(o1, o2, fp.offset), D).ok,
+                product_standard_characterization(fp, P1, P2, o1, o2, D).ok,
+            "flag": naive_is_flag(fp.polytope, weight_minima(
+                sum_weight(o1, o2, fp.offset)), D)[0],
             "balanced": is_balanced(fp.polytope, D).ok,
-            "double-weight": verify_double_weight_equivalence(fp, D).ok,
+            "double-weight":
+                verify_double_weight_equivalence(fp, glued, D).ok,
             "normal": is_normal(fp.polytope, D).ok,
         }
-        rel = relation_degree(fp.polytope, 3, D, check_normal=False)
+        rel = relation_degree(fp.polytope, 3, D)
         checks["relations<=3"] = (rel.relation_degree is not None
                                   and rel.relation_degree <= 3)
         bad = [k for k, v in checks.items() if not v]
@@ -244,7 +249,7 @@ def test_criterion_9_sigma2_fixture():
     order = sigma2_lex_order()
     pts_ok = sorted(fib) == [
         ((0,), (0,), (3,)), ((0,), (1,), (2,)), ((1,), (1,), (1,))]
-    weights = {m: order.monomial_weight(m) for m in fib}
+    weights = {m: order.monomial_key(m)[1] for m in fib}
     weights_ok = (weights[((0,), (0,), (3,))] == 9
                   and weights[((0,), (1,), (2,))] == 5
                   and weights[((1,), (1,), (1,))] == 3)

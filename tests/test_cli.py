@@ -273,6 +273,7 @@ def test_check_on_empty_polytope_exit_2(command, tmp_path, capsys):
      "--r", "1,1,2,2", "--level", "2", "--max-dilation", "0"],
     ["verify", "--theorem", "invariance", "--genus", "0", "--leaves", "4",
      "--r", "1,1,2,2", "--level", "2", "--max-dilation", "-1"],
+    ["relations", "--r", "2,2,2,2", "--level", "2", "--move-max", "0"],
 ])
 def test_bad_input_exit_2(argv, t4_path, capsys):
     # each used to raise, or to exit 0 having checked nothing

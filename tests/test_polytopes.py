@@ -11,8 +11,6 @@ from spinpoly.errors import (
     Unbounded,
 )
 from spinpoly.polytopes import (
-    B2_COORDS,
-    B2_COORDS_INVERSE,
     GradedPolytope,
     LatticeMap,
     assemble,
@@ -21,26 +19,28 @@ from spinpoly.polytopes import (
     from_graph,
     interval,
     lattice_points,
-    loop_b,
-    loop_b2,
     p3,
-    p3_fixed1,
-    p3_fixed2,
-    point_polytope,
     quadrant,
     recognize_block,
-    trinode_cubic_region,
     with_full_lattice,
     _unit,
 )
 
 from helpers import (
+    B2_COORDS,
+    B2_COORDS_INVERSE,
     assembled_point_to_graph_point,
     fraction_glue_rows,
     in_parity_lattice,
+    loop_b,
+    loop_b2,
     loop_with_leaf,
     naive_nonneg_points,
     naive_points,
+    p3_fixed1,
+    p3_fixed2,
+    point_polytope,
+    trinode_cubic_region,
 )
 
 
@@ -489,6 +489,5 @@ def test_glue_rows_match_fraction_route(maps):
     P1 = GradedPolytope(d1, (), ())
     P2 = GradedPolytope(d2, (), ())
     fp = fiber_product(P1, f1, P2, f2)
-    eqs, glued = fraction_glue_rows(f1, f2, d1)
+    eqs, _ = fraction_glue_rows(f1, f2, d1)
     assert list(fp.polytope.equalities) == eqs
-    assert list(fp.glued_pairs) == glued

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -9,29 +9,21 @@ from hypothesis import strategies as st
 
 from spinpoly import graphs
 from spinpoly.catp import boxtimes_assemble
-from spinpoly.errors import NotFlag, NotTotal
+from spinpoly.errors import NotTotal
 from spinpoly.polytopes import (
     LatticeMap,
     fiber_product,
     from_graph,
     interval,
-    loop_b,
-    loop_b2,
     p3,
-    p3_fixed2,
     quadrant,
 )
 from spinpoly.termorders import (
     Check,
-    TermWeight,
     TotalOrder,
     b2_cascade_order,
     boxtimes_order,
-    fiber_set,
-    has_unique_standard_monomials,
-    initial_complex_maximal_faces,
     is_balanced,
-    is_flag,
     monomials_by_image,
     sigma2_lex_order,
     sigma_squared,
@@ -43,9 +35,17 @@ from helpers import (
     balance_pair,
     balance_tuple,
     blocks_up_to_level_2,
+    fiber_set,
     is_slice_balanced,
+    key_minima,
+    loop_b,
+    loop_b2,
     multiset_difference_size,
     naive_is_flag,
+    p3_fixed1,
+    p3_fixed2,
+    sum_weight,
+    weight_minima,
 )
 
 
@@ -119,7 +119,7 @@ def test_fiber_set_interval_oracle():
     assert sorted(fib) == [
         ((0,), (0,), (3,)), ((0,), (1,), (2,)), ((1,), (1,), (1,))]
     order = sigma2_lex_order()
-    weights = sorted(order.monomial_weight(m) for m in fib)
+    weights = sorted(order.monomial_key(m)[1] for m in fib)
     assert weights == [3, 5, 9]
     assert standard_monomials(interval(3), order, 3) >= {
         ((1,), (1,), (1,))}
@@ -153,15 +153,32 @@ def test_p3_level1_degree2_fiber_singleton():
 
 
 def test_unique_standard_with_total_order():
+    # one standard monomial per fiber, each a member of its fiber
     P = p3(1)
-    assert has_unique_standard_monomials(P, sigma2_lex_order(P.transform_point), 3)
+    order = sigma2_lex_order(P.transform_point)
+    for N in (2, 3):
+        fibers = monomials_by_image(P, N)
+        std = standard_monomials(P, order, N)
+        assert len(std) == len(fibers)
+        assert all(sum(m in std for m in f) == 1 for f in fibers.values())
 
 
 def test_non_total_weight_can_tie():
-    P = interval(1)
-    w = TermWeight.zero()
-    assert not has_unique_standard_monomials(P, w, 2) or \
-        len(monomials_by_image(P, 2)) == len(standard_monomials(P, w, 2))
+    # the sum weight of criterion 7 ties in 7 fibers of loop_b(2) glued to
+    # itself, where the concatenation order picks one member of each
+    B = loop_b(2)
+    x_to_base = LatticeMap(((1, 0),), 1, interval(2))
+    fp = fiber_product(B, x_to_base, B, x_to_base)
+    o = sigma2_lex_order(B.transform_point)
+    ties = weight_minima(sum_weight(o, o, fp.offset))
+    total = key_minima(boxtimes_order(o, o, fp.offset))
+    tied = 0
+    for N in (2, 3):
+        for f in monomials_by_image(fp.polytope, N).values():
+            least = ties(f)
+            assert total(f)[0] in least
+            tied += len(least) > 1
+    assert tied == 7
 
 
 def test_standard_count_matches_fibers():
@@ -178,41 +195,32 @@ def test_standard_count_matches_fibers():
 def test_interval_is_flag_and_faces():
     P = interval(3)
     order = sigma2_lex_order()
-    assert is_flag(P, order, 4).ok
-    faces = initial_complex_maximal_faces(P, order, 3)
+    assert naive_is_flag(P, key_minima(order), 4) == (True, None)
     # [DERIVED] the interval order's initial complex is the path
-    # {k, k+1}: consecutive points only
-    assert faces == {frozenset({(k,), (k + 1,)}) for k in range(3)}
-
-
-def test_initial_complex_faces_match_networkx_cliques():
-    import networkx as nx
-
-    B = loop_b(2)
-    x_to_base = LatticeMap(((1, 0),), 1, interval(2))
-    fp = fiber_product(B, x_to_base, B, x_to_base).polytope
-    cases = [(interval(3), sigma2_lex_order()),
-             (p3(2), sigma2_lex_order(p3(2).transform_point)),
-             (quadrant(1, 2), sigma2_lex_order()),
-             (fp, sigma2_lex_order(fp.transform_point))]
-    for P, order in cases:
-        std2 = standard_monomials(P, order, 2)
-        good = [p for p in P.lattice_points(1) if (p, p) in std2]
-        G = nx.Graph()
-        G.add_nodes_from(good)
-        G.add_edges_from((p, q) for i, p in enumerate(good)
-                         for q in good[i + 1:] if (p, q) in std2)
-        faces = initial_complex_maximal_faces(P, order, 3)
-        assert len(faces) > 1
-        assert faces == {frozenset(c) for c in nx.find_cliques(G)}
-    # no points (odd leaf sum): no faces, as find_cliques on an empty graph
-    empty = from_graph(graphs.caterpillar_tree(3), (1, 1, 1), 1)
-    assert initial_complex_maximal_faces(empty, sigma2_lex_order(), 3) == set()
+    # {k, k+1}: its faces are the standard pairs of distinct points, and
+    # those are the consecutive points only
+    std2 = standard_monomials(P, order, 2)
+    assert {frozenset(m) for m in std2 if m[0] != m[1]} == \
+        {frozenset({(k,), (k + 1,)}) for k in range(3)}
 
 
 def _scrambled_interval_order():
     scramble = {(0,): 5, (1,): 0, (2,): 4, (3,): 1}
     return TotalOrder(lambda p: (scramble[p], (scramble[p], p)))
+
+
+def _pair_rule_is_flag(P, order, D):
+    """The flag property from `standard_monomials`: a monomial's degree-2
+    divisors are its pairs of positions, its pure powers those of its
+    points of multiplicity >= 3."""
+    std = {N: standard_monomials(P, order, N) for N in range(2, D + 1)}
+    for N in range(3, D + 1):
+        for m in combinations_with_replacement(P.lattice_points(1), N):
+            predicted = all(d in std[2] for d in combinations(m, 2)) and all(
+                (p,) * k in std[k] for p, k in Counter(m).items() if k >= 3)
+            if predicted != (m in std[N]):
+                return False, m
+    return True, None
 
 
 def test_is_flag_matches_divisor_reference():
@@ -230,28 +238,16 @@ def test_is_flag_matches_divisor_reference():
             cases.append((P, order, 3))
     verdicts = []
     for P, order, D in cases:
-        chk = is_flag(P, order, D)
-        assert (chk.ok, chk.witness) == naive_is_flag(P, order, D)
-        verdicts.append(chk.ok)
+        ok, witness = _pair_rule_is_flag(P, order, D)
+        assert (ok, witness) == naive_is_flag(P, key_minima(order), D)
+        verdicts.append(ok)
     assert verdicts.count(False) > 10 and verdicts.count(True) > 10
-
-
-def test_initial_complex_requires_flag():
-    # a deliberately scrambled order on the interval need not be flag; if it
-    # is not, the face computation must refuse
-    P = interval(3)
-    order = _scrambled_interval_order()
-    chk = is_flag(P, order, 4)
-    if not chk.ok:
-        with pytest.raises(NotFlag):
-            initial_complex_maximal_faces(P, order, 4)
-    else:
-        initial_complex_maximal_faces(P, order, 4)
 
 
 def test_p3_flag_under_lattice_order():
     P = p3(1)
-    assert is_flag(P, sigma2_lex_order(P.transform_point), 4).ok
+    assert naive_is_flag(P, key_minima(sigma2_lex_order(P.transform_point)),
+                         4)[0]
 
 
 # -- balancedness ---------------------------------------------------------
@@ -260,8 +256,6 @@ def test_p3_flag_under_lattice_order():
 def test_balanced_battery():
     # [DERIVED] trinodes, quadrants and the two-pin blocks are balanced in
     # lattice coordinates
-    from spinpoly.polytopes import p3_fixed1, p3_fixed2
-
     for P in [p3(2), p3(3), p3_fixed1(2, 3), p3_fixed2(2, 2, 4),
               quadrant(1, 1), quadrant(2, 1), quadrant(3, 1), quadrant(4, 1)]:
         assert is_balanced(P, 3).ok
@@ -347,34 +341,36 @@ def test_is_balanced_requires_injective_transform():
 
 def test_sigma2_lex_unit_square_rule():
     order = sigma2_lex_order()
-    keys = [order.point_key(p) for p in [(1, 1), (1, 0), (0, 1), (0, 0)]]
+    keys = [order.entry(p)[1] for p in [(1, 1), (1, 0), (0, 1), (0, 0)]]
     assert keys == sorted(keys, reverse=True)
 
 
 def test_b2_cascade_tie_breaks():
     order = b2_cascade_order()
     # equal sigma2: cascade compares B, then z, then x, then A
-    assert order.point_key((1, 0, 0, 0)) < order.point_key((0, 0, 0, 1))
-    assert order.point_key((0, 1, 0, 0)) < order.point_key((0, 0, 0, 1))
-    assert order.point_key((0, 0, 1, 0)) < order.point_key((1, 0, 0, 0))
+    def key(p):
+        return order.entry(p)[1]
+
+    assert key((1, 0, 0, 0)) < key((0, 0, 0, 1))
+    assert key((0, 1, 0, 0)) < key((0, 0, 0, 1))
+    assert key((0, 0, 1, 0)) < key((1, 0, 0, 0))
 
 
 def test_b2_cascade_unique_standards():
+    # the cascade tells every two points apart, so no two monomials of a
+    # fiber share a key and the least one is unique
     P = loop_b2(1)
     order = b2_cascade_order(P.transform_point)
-    assert has_unique_standard_monomials(P, order, 3)
+    for N in (2, 3):
+        for f in monomials_by_image(P, N).values():
+            assert len({order.monomial_key(m) for m in f}) == len(f)
 
 
 def test_boxtimes_order_composition():
     o = boxtimes_order(sigma2_lex_order(), sigma2_lex_order(), 1)
     # ties in total weight break on the left factor first
-    assert o.weight((1, 2)) == 5
-    assert o.point_key((2, 1)) > o.point_key((1, 2))
-
-
-def test_boxtimes_requires_total():
-    with pytest.raises(NotTotal):
-        boxtimes_order(TermWeight.zero(), sigma2_lex_order(), 1)
+    assert o.entry((1, 2))[0] == 5
+    assert o.entry((2, 1))[1] > o.entry((1, 2))[1]
 
 
 def test_monomial_key_orders_by_degree_then_weight():
@@ -393,23 +389,24 @@ def test_point_table_keys_match_fresh_order(monkeypatch):
     internal = [i for i, (a, b) in enumerate(t4.edges)
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dbl4 = graphs.double_edge_at(t4, internal[0])
-    wp, _ = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
-    monos = list(
-        combinations_with_replacement(wp.polytope.lattice_points(1), 2))
+    order, assembly = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
+    pts = assembly.polytope.lattice_points(1)
+    monos = list(combinations_with_replacement(pts, 2))
     assert len(monos) > 100
     # fill the tables in reverse, then read every key back from them
-    filled = [wp.order.monomial_key(m) for m in reversed(monos)][::-1]
-    memo = [wp.order.monomial_key(m) for m in monos]
+    filled = [order.monomial_key(m) for m in reversed(monos)][::-1]
+    memo = [order.monomial_key(m) for m in monos]
     # each order has its own table
-    assert sigma2_lex_order().point_key((1, 0, 0, 0)) == (1, (1, 0, 0, 0))
-    assert b2_cascade_order().point_key((1, 0, 0, 0)) == (1, 0, 0, 1, 0)
+    assert sigma2_lex_order().entry((1, 0, 0, 0)) == (1, (1, (1, 0, 0, 0)))
+    assert b2_cascade_order().entry((1, 0, 0, 0)) == (1, (1, 0, 0, 1, 0))
     # a fresh order that recomputes every entry on each call, at each level
     # of the nesting; its monomial keys are assembled from its point values
     # by the documented rule
     monkeypatch.setattr(TotalOrder, "entry", lambda self, p: self._entry(p))
     fresh, _ = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
-    w = {p: fresh.order.weight(p) for p in wp.polytope.lattice_points(1)}
-    k = {p: fresh.order.point_key(p) for p in wp.polytope.lattice_points(1)}
+    w, k = {}, {}
+    for p in pts:
+        w[p], k[p] = fresh.entry(p)
     expected = [(2, w[p] + w[q], tuple(sorted((k[p], k[q]), reverse=True)))
                 for p, q in monos]
     assert memo == filled == expected

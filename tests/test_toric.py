@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import product
+from math import comb
 import random
 
 import pytest
@@ -8,29 +10,21 @@ from spinpoly.errors import (
     HypothesisViolated,
     LengthMismatch,
     NormalityPrerequisiteFailed,
-    NotTotal,
 )
 from spinpoly.polytopes import (
     GradedPolytope,
+    LatticeMap,
+    fiber_product,
     from_graph,
     interval,
     lattice_points,
-    loop_b,
     p3,
     quadrant,
-    trinode_cubic_region,
     with_full_lattice,
 )
 from spinpoly.catp import boxtimes_assemble
-from spinpoly.termorders import (
-    Check,
-    TermWeight,
-    monomials_by_image,
-    sigma2_lex_order,
-    _fiber_minima,
-)
+from spinpoly.termorders import Check, sigma2_lex_order, standard_monomials
 from spinpoly.toric import (
-    degree_two_relations,
     hilbert,
     hilbert_by_fusion,
     is_normal,
@@ -44,8 +38,11 @@ from spinpoly.toric import (
 from helpers import (
     blocks_up_to_level_2,
     count_pair_standard_multisets,
+    degree_two_relations,
+    loop_b,
     naive_is_normal,
     naive_relation_degree,
+    trinode_cubic_region,
 )
 
 
@@ -261,11 +258,20 @@ def _relation_instances():
 
 def test_relation_degree_matches_pairwise_search():
     # lifted spanning trees give the same certificate as comparing every
-    # pair of monomials, witnesses and minimal-relation counts included
-    certs = []
+    # pair of monomials, witnesses and minimal-relation counts included;
+    # the three blocks that are not normal to degree 3 are refused with
+    # is_normal's witness
+    certs, refused = [], 0
     for P in _relation_instances():
+        chk = is_normal(P, 3)
+        if not chk.ok:
+            with pytest.raises(NormalityPrerequisiteFailed) as exc:
+                relation_degree(P, 3, 3)
+            assert exc.value.witness == chk.witness
+            refused += 1
+            continue
         for move_max in (1, 2, 3):
-            cert = relation_degree(P, move_max, 3, check_normal=False)
+            cert = relation_degree(P, move_max, 3)
             assert cert == naive_relation_degree(P, move_max, 3)
             if cert.relation_degree is not None:
                 # the least generating degree is the highest degree holding
@@ -275,6 +281,7 @@ def test_relation_degree_matches_pairwise_search():
             certs.append(cert)
     assert {None, 2, 3} <= {c.relation_degree for c in certs}
     assert any(c.minimal_relations[3] for c in certs)
+    assert refused == 3
 
 
 def test_lifted_spanning_tree_takes_light_edges_first():
@@ -300,7 +307,7 @@ def test_lifted_spanning_tree_takes_light_edges_first():
     (trinode_cubic_region, {2: 0, 3: 1, 4: 0}),
 ])
 def test_minimal_relation_counts(P, counts):
-    cert = relation_degree(P(), 4, 4, check_normal=False)
+    cert = relation_degree(P(), 4, 4)
     assert cert.minimal_relations == counts
 
 
@@ -363,16 +370,11 @@ def test_gb_relations_count_degree_two_relations():
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dbl4 = graphs.double_edge_at(t4, internal[0])
     for g, n in ((graphs.caterpillar_tree(6), 21), (dbl4, 336)):
-        wp, _ = boxtimes_assemble(g, (2,) * g.n_leaves, 4)
-        chk = quadratic_squarefree_gb(wp.polytope, wp.order, 3)
+        order, assembly = boxtimes_assemble(g, (2,) * g.n_leaves, 4)
+        chk = quadratic_squarefree_gb(assembly.polytope, order, 3)
         assert chk.ok
         assert chk.witness["relations"] == n == \
-            len(degree_two_relations(wp.polytope, wp.order))
-
-
-def test_gb_requires_total_order():
-    with pytest.raises(NotTotal):
-        quadratic_squarefree_gb(interval(2), TermWeight.zero(), 3)
+            len(degree_two_relations(assembly.polytope, order))
 
 
 def test_gb_fails_on_cubic_region():
@@ -404,10 +406,9 @@ def test_pair_standard_counts_match_multiset_search():
     cases = [(graphs.caterpillar_tree(6), L, D)
              for L, D in ((2, 4), (3, 4), (4, 4), (5, 3))] + [(dbl4, 3, 3)]
     for g, L, D in cases:
-        wp, _ = boxtimes_assemble(g, (2,) * g.n_leaves, L)
-        P = wp.polytope
-        std2 = {_fiber_minima(f, wp.order)[0]
-                for f in monomials_by_image(P, 2).values()}
+        order, assembly = boxtimes_assemble(g, (2,) * g.n_leaves, L)
+        P = assembly.polytope
+        std2 = standard_monomials(P, order, 2)
         _assert_counts_match_search(list(P.lattice_points(1)), std2, D)
     # a hand-made standard-pair graph: the triangle 0-1-2 and the edge 2-3
     pts = [(i,) for i in range(5)]
@@ -417,11 +418,44 @@ def test_pair_standard_counts_match_multiset_search():
     _assert_counts_match_search(pts, std2, 5)
 
 
+def test_pair_standard_counts_match_networkx_cliques():
+    # the GB check's standard counts, sum over k of f_k·C(N-1, k-1), against
+    # the k-cliques f_k that networkx lists on the standard-pair graph
+    import networkx as nx
+
+    B = loop_b(2)
+    x_to_base = LatticeMap(((1, 0),), 1, interval(2))
+    fp = fiber_product(B, x_to_base, B, x_to_base).polytope
+    cases = [(interval(3), sigma2_lex_order()),
+             (p3(2), sigma2_lex_order(p3(2).transform_point)),
+             (quadrant(1, 2), sigma2_lex_order()),
+             (fp, sigma2_lex_order(fp.transform_point))]
+    # no points (odd leaf sum): no cliques and no counts
+    cases.append((from_graph(graphs.caterpillar_tree(3), (1, 1, 1), 1),
+                  sigma2_lex_order()))
+    largest = []
+    for P, order in cases:
+        pts = list(P.lattice_points(1))
+        std2 = standard_monomials(P, order, 2)
+        assert all((p, p) in std2 for p in pts)
+        G = nx.Graph()
+        G.add_nodes_from(pts)
+        G.add_edges_from((p, q) for i, p in enumerate(pts)
+                         for q in pts[i + 1:] if (p, q) in std2)
+        f = Counter(len(c) for c in nx.enumerate_all_cliques(G))
+        assert _pair_standard_counts(pts, std2, 4) == {
+            N: sum(f[k] * comb(N - 1, k - 1) for k in range(1, N + 1))
+            for N in range(2, 5)}
+        largest.append(max(f, default=0))
+    assert largest == [2, 4, 5, 4, 0]
+
+
 def test_gb_count_mismatch_on_odd_level_caterpillar():
     # the degree-2 standard counts of cat6 at L=3 and L=5 fall one short
     for L, short in ((3, (14, 15)), (5, (60, 61))):
-        wp, _ = boxtimes_assemble(graphs.caterpillar_tree(6), (2,) * 6, L)
-        chk = quadratic_squarefree_gb(wp.polytope, wp.order, 3)
+        order, assembly = boxtimes_assemble(graphs.caterpillar_tree(6),
+                                            (2,) * 6, L)
+        chk = quadratic_squarefree_gb(assembly.polytope, order, 3)
         assert chk == Check(False, {"reason": "count mismatch", "degree": 2,
                                     "standard_count": short[0],
                                     "hilbert": short[1]})
