@@ -264,7 +264,8 @@ def _dispatch(args):
 
     if cmd == "gb-check":
         order, assembly = boxtimes_assemble(g, r, L)
-        chk = quadratic_squarefree_gb(assembly.polytope, order, args.dmax)
+        chk = quadratic_squarefree_gb(assembly.polytope, order,
+                                      hilbert(from_graph(g, r, L), args.dmax))
         return chk.ok, {"dmax": args.dmax}, {
             "pass": chk.ok,
             "detail": chk.witness if isinstance(chk.witness, dict) else None,

@@ -70,7 +70,20 @@ class GradedPolytope:
 
 @lru_cache(maxsize=512)  # bounded; holds the repeats of one verification run
 def lattice_points(P, N):
-    """All lattice members of the N-th dilation, lexicographically sorted.
+    """All lattice members of the N-th dilation, lexicographically sorted."""
+    return _search(P, N, False)
+
+
+@lru_cache(maxsize=512)
+def count_points(P, N):
+    """len(lattice_points(P, N)), by the same search without building a
+    point: each leaf adds the length of its last coordinate's range."""
+    return _search(P, N, True)
+
+
+def _search(P, N, count):
+    """The points of P's N-th dilation as a sorted tuple, or with count=True
+    their number.
 
     The search is split in two.  `_plan(P)`, built once per polytope, holds
     what does not depend on N.  Each N then propagates integer bounds, places
@@ -85,8 +98,9 @@ def lattice_points(P, N):
     plan = _plan(P)
     rows, touching, _, parity = plan
     lo, hi = _propagate_bounds(P.dim, plan, N)
+    none = 0 if count else ()
     if lo is None:
-        return ()
+        return none
     free = [j for j in range(P.dim) if lo[j] < hi[j]]
     pos = {j: k for k, j in enumerate(free)}
     point = list(lo)  # original coordinate order; pinned values placed once
@@ -94,7 +108,7 @@ def lattice_points(P, N):
     for nz, b in rows:
         partial.append(sum(a * lo[j] for j, a in nz if j not in pos) - N * b)
         if partial[-1] > 0 and not any(j in pos for j, _ in nz):
-            return ()
+            return none
     # a parity set is decided where its last free coordinate x_j is placed:
     # the rest of the set fixes the parity of x_j
     checks = [[] for _ in free]
@@ -103,13 +117,13 @@ def lattice_points(P, N):
         others = [i for i in s if i in pos]
         if not others:
             if odd:
-                return ()
+                return none
             continue
         k = max(map(pos.get, others))
         others.remove(free[k])
         checks[k].append((others, odd))
     if not free:
-        return (tuple(point),)
+        return 1 if count else (tuple(point),)
 
     smin = [0] * len(rows)
     ups, downs = [None] * len(free), [None] * len(free)
@@ -121,9 +135,11 @@ def lattice_points(P, N):
         for c, a in touch:
             smin[c] += a * (lo[j] if a > 0 else hi[j])
     out = []
+    total = 0
     last = len(free) - 1
 
     def dfs(k):
+        nonlocal total
         j = free[k]
         xlo, xhi = lo[j], hi[j]
         for c, a, cap in ups[k]:
@@ -145,6 +161,9 @@ def lattice_points(P, N):
             xlo += 1
         xs = range(xlo, xhi + 1, 1 if par is None else 2)
         if k == last:
+            if count:
+                total += len(xs)
+                return
             for x in xs:
                 point[j] = x
                 out.append(tuple(point))
@@ -159,7 +178,7 @@ def lattice_points(P, N):
                 partial[c] -= a * x
 
     dfs(0)
-    return tuple(out)
+    return total if count else tuple(out)
 
 
 @lru_cache(maxsize=8)  # hilbert, is_normal and the GB check walk N on one P
@@ -364,26 +383,19 @@ def interval(L):
                           LatticeMap(((1,),)))
 
 
-_HALVE3 = LatticeMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2)
 _TRIANGLE_BASIS = LatticeMap(((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2)
 
 
-def p3(L, even_edges=False):
-    """Trinode polytope: hull of (0,0,0),(L,L,0),(L,0,L),(0,L,L)."""
+def p3(L):
+    """Trinode polytope: hull of (0,0,0),(L,L,0),(L,0,L),(0,L,L).  Its
+    lattice map is the triangle basis (0,1,1),(1,0,1),(1,1,0) of the trinode
+    parity lattice, which makes P3(L) the simplex {t >= 0, sum t <= L}."""
     if L < 0:
         raise InvalidParams("L must be nonnegative")
     ineqs = [(_unit(3, i, -1), 0) for i in range(3)]
     rows, pset = _trinode_rows(3, (0, 1, 2), L)
     ineqs.extend(rows)
-    psets = [pset]
-    if even_edges:
-        psets += [(0,), (1,), (2,)]
-        trans = _HALVE3
-    else:
-        # triangle basis (0,1,1),(1,0,1),(1,1,0) for the trinode parity
-        # lattice; P3(L) becomes the simplex {t >= 0, sum t <= L}
-        trans = _TRIANGLE_BASIS
-    return GradedPolytope(3, tuple(ineqs), (), tuple(psets), trans)
+    return GradedPolytope(3, tuple(ineqs), (), (pset,), _TRIANGLE_BASIS)
 
 
 def with_full_lattice(P):

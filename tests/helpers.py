@@ -5,11 +5,14 @@ The oracles are deliberately naive: box scans with no propagation or
 pruning, so results are computed by a different route than the library's
 enumerator."""
 
+import importlib.util
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
+from pathlib import Path
 
 from spinpoly.errors import InvalidParams
 from spinpoly.graphs import (
@@ -31,6 +34,17 @@ from spinpoly.polytopes import (
 )
 from spinpoly.termorders import Check, monomials_by_image, standard_monomials
 from spinpoly.toric import GenerationCertificate
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module of scripts/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- building blocks that no command builds ------------------------------
@@ -548,10 +562,17 @@ def naive_is_flag(P, minima, D):
     return True, None
 
 
+def p3_even_edges(L):
+    """The trinode block with every edge even, in halved coordinates."""
+    P = p3(L)
+    return replace(P, parity_sets=P.parity_sets + ((0,), (1,), (2,)),
+                   to_lattice=LatticeMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2))
+
+
 def blocks_up_to_level_2():
     """Every building block at L = 1 and 2."""
     for L in (1, 2):
-        yield from (interval(L), p3(L), p3(L, even_edges=True), loop_b(L),
+        yield from (interval(L), p3(L), p3_even_edges(L), loop_b(L),
                     loop_b2(L))
         qs = (1, 2, 3, 4) if L == 1 else (1, 3)
         yield from (quadrant(q, L) for q in qs)

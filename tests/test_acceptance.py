@@ -124,7 +124,8 @@ def test_criterion_4_cubic_necessity():
     cert = relation_degree(P, 3, 4)
     ok = cert.relation_degree == 3
     witness_ok = any(n == 3 and b == (4, 4, 4) for n, b, d in cert.witnesses)
-    gb = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point), 3)
+    gb = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point),
+                                 hilbert(P, 3))
     gb_fail_ok = (not gb.ok and gb.witness["degree"] == 3)
     report(4, ok and witness_ok and gb_fail_ok,
            "relation degree exactly 3, witness fiber (4,4,4), "

@@ -33,8 +33,9 @@ def test_runs_without_networkx():
         "import spinpoly.polytopes, spinpoly.termorders, spinpoly.toric\n"
         "from spinpoly.polytopes import interval\n"
         "from spinpoly.termorders import sigma2_lex_order\n"
-        "from spinpoly.toric import quadratic_squarefree_gb\n"
-        "chk = quadratic_squarefree_gb(interval(3), sigma2_lex_order(), 3)\n"
+        "from spinpoly.toric import hilbert, quadratic_squarefree_gb\n"
+        "chk = quadratic_squarefree_gb(interval(3), sigma2_lex_order(),\n"
+        "                              hilbert(interval(3), 3))\n"
         "print(chk.witness['relations'])\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpoly import graphs, polytopes
+from spinpoly.catp import boxtimes_assemble
 from spinpoly.errors import (
     BaseMismatch,
     InvalidParams,
@@ -14,6 +15,7 @@ from spinpoly.polytopes import (
     GradedPolytope,
     LatticeMap,
     assemble,
+    count_points,
     edge_projection,
     fiber_product,
     from_graph,
@@ -25,6 +27,7 @@ from spinpoly.polytopes import (
     with_full_lattice,
     _unit,
 )
+from spinpoly.toric import hilbert
 
 from helpers import (
     B2_COORDS,
@@ -32,6 +35,7 @@ from helpers import (
     assembled_point_to_graph_point,
     fraction_glue_rows,
     in_parity_lattice,
+    load_script,
     loop_b,
     loop_b2,
     loop_with_leaf,
@@ -75,6 +79,7 @@ NAIVE_CASES = [
 def test_enumerator_matches_naive(P, Nmax, radius):
     for N in range(Nmax + 1):
         assert list(P.lattice_points(N)) == naive_points(P, N, radius * N + 1)
+        assert count_points(P, N) == len(P.lattice_points(N))
 
 
 def test_graph_polytope_matches_naive():
@@ -99,10 +104,12 @@ def test_graph_polytope_matches_naive():
         for N in dilations:
             assert list(P.lattice_points(N)) == \
                 naive_nonneg_points(P, N, radius * N)
+            assert count_points(P, N) == len(P.lattice_points(N))
 
 
 def test_lattice_points_cache_is_bounded():
     assert lattice_points.cache_info().maxsize is not None
+    assert count_points.cache_info().maxsize is not None
 
 
 def test_search_plan_cache_is_bounded():
@@ -142,6 +149,7 @@ def small_systems(draw):
 def test_random_systems_match_naive(system, N):
     box, P = system
     assert list(lattice_points(P, N)) == naive_nonneg_points(P, N, box * N)
+    assert count_points(P, N) == len(lattice_points(P, N))
 
 
 # -- frozen oracles -------------------------------------------------------
@@ -358,6 +366,36 @@ def test_assemble_matches_graph_polytope():
                    for p in A.polytope.lattice_points(N)}
             assert direct == via
             assert len(A.polytope.lattice_points(N)) == len(direct)
+
+
+def _gb_route_instances():
+    """The graphs, r and L on which a GB check runs: perfbench's certify
+    graphs at L = 4 and 6, every polyquad and d2bp instance of the battery,
+    and cat6 at L = 3 and 5, where the check fails on the count."""
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    for g in (graphs.caterpillar_tree(6),
+              graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1),
+              graphs.double_edge_at(t4, internal[0])):
+        for L in (4, 6):
+            yield g, (2,) * g.n_leaves, L
+    for name, kw, _ in load_script("run_verifications").instances():
+        if name in ("polyquad", "d2bp"):
+            yield kw["graph"], kw["r"], kw["level"]
+    for L in (3, 5):
+        yield graphs.caterpillar_tree(6), (2,) * 6, L
+
+
+def test_even_interior_assembly_counts_match_graph_polytope():
+    # the GB check reads the graph polytope's table against the standard
+    # monomials of the even-interior assembly: their counts must agree
+    cases = list(_gb_route_instances())
+    assert len(cases) == 6 + 9 + 2
+    for g, r, L in cases:
+        assembled = boxtimes_assemble(g, r, L)[1].polytope
+        assert hilbert(assembled, 4) == hilbert(from_graph(g, r, L), 4), \
+            (g.edges, r, L)
 
 
 def test_assemble_even_interior_has_transform():

@@ -1,19 +1,10 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from spinpoly.cli import run
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_script
 
 
 @pytest.fixture(scope="module")

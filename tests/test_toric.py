@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from spinpoly import graphs, toric
+from spinpoly import graphs, polytopes, toric
 from spinpoly.errors import (
     HypothesisViolated,
     LengthMismatch,
@@ -356,11 +356,13 @@ def test_degree_two_relations_q1():
 
 
 def test_gb_interval():
-    assert quadratic_squarefree_gb(interval(3), sigma2_lex_order(), 4).ok
+    assert quadratic_squarefree_gb(interval(3), sigma2_lex_order(),
+                                   hilbert(interval(3), 4)).ok
 
 
 def test_gb_q1():
-    assert quadratic_squarefree_gb(quadrant(1, 1), sigma2_lex_order(), 4).ok
+    assert quadratic_squarefree_gb(quadrant(1, 1), sigma2_lex_order(),
+                                   hilbert(quadrant(1, 1), 4)).ok
 
 
 def test_gb_relations_count_degree_two_relations():
@@ -370,8 +372,10 @@ def test_gb_relations_count_degree_two_relations():
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dbl4 = graphs.double_edge_at(t4, internal[0])
     for g, n in ((graphs.caterpillar_tree(6), 21), (dbl4, 336)):
-        order, assembly = boxtimes_assemble(g, (2,) * g.n_leaves, 4)
-        chk = quadratic_squarefree_gb(assembly.polytope, order, 3)
+        r = (2,) * g.n_leaves
+        order, assembly = boxtimes_assemble(g, r, 4)
+        chk = quadratic_squarefree_gb(assembly.polytope, order,
+                                      hilbert(from_graph(g, r, 4), 3))
         assert chk.ok
         assert chk.witness["relations"] == n == \
             len(degree_two_relations(assembly.polytope, order))
@@ -381,7 +385,8 @@ def test_gb_fails_on_cubic_region():
     # [PAPER] the cubic-relation region has no quadratic GB: the standard
     # count deviates from the Hilbert function at N=3 (35 vs 34)
     P = trinode_cubic_region()
-    chk = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point), 3)
+    chk = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point),
+                                  hilbert(P, 3))
     assert not chk.ok
     assert chk.witness["degree"] == 3
     assert chk.witness["standard_count"] == 35
@@ -452,10 +457,11 @@ def test_pair_standard_counts_match_networkx_cliques():
 
 def test_gb_count_mismatch_on_odd_level_caterpillar():
     # the degree-2 standard counts of cat6 at L=3 and L=5 fall one short
+    g = graphs.caterpillar_tree(6)
     for L, short in ((3, (14, 15)), (5, (60, 61))):
-        order, assembly = boxtimes_assemble(graphs.caterpillar_tree(6),
-                                            (2,) * 6, L)
-        chk = quadratic_squarefree_gb(assembly.polytope, order, 3)
+        order, assembly = boxtimes_assemble(g, (2,) * 6, L)
+        chk = quadratic_squarefree_gb(assembly.polytope, order,
+                                      hilbert(from_graph(g, (2,) * 6, L), 3))
         assert chk == Check(False, {"reason": "count mismatch", "degree": 2,
                                     "standard_count": short[0],
                                     "hilbert": short[1]})
@@ -516,6 +522,25 @@ def test_polyquad_instances():
     for g, r in [(t4, (2, 2, 2, 2)), (dg, (2, 2, 2, 2)), (loopy, (2, 2))]:
         cert = verify_theorem("polyquad", graph=g, r=r, level=2, dmax=3)
         assert cert.result, cert.witnesses
+
+
+def test_passing_checks_list_only_degree_one_points(monkeypatch):
+    # scale guard: on a passing instance the GB check and is_normal count
+    # dilations 2..D and list only the degree-1 points; polyquad on cat8
+    # at L=4 to D=4 then takes hundredths of a second
+    listed = set()
+    real = polytopes.lattice_points
+
+    def spy(P, N):
+        listed.add(N)
+        return real(P, N)
+
+    monkeypatch.setattr(polytopes, "lattice_points", spy)
+    g = graphs.caterpillar_tree(8)
+    cert = verify_theorem("polyquad", graph=g, r=(2,) * 8, level=4, dmax=4)
+    assert cert.result, cert.witnesses
+    assert is_normal(from_graph(g, (2,) * 8, 4), 4).ok
+    assert listed == {1}
 
 
 def test_polyquad_rejects_odd_weights():
