@@ -486,8 +486,10 @@ def enumerate_graphs(genus, n_leaves):
     verts = internal + tuple(f"leaf{k}" for k in range(1, n_leaves + 1))
     leaves = tuple((k, f"leaf{k}") for k in range(1, n_leaves + 1))
     pairs = [(i, j) for i in internal for j in internal[i:]]
+    swaps = [_transposition(pairs, a, b)
+             for a in internal for b in internal[a + 1:]]
     deg, shapes, out = [0] * n_internal, set(), []
-    for combo in _edge_multisets(pairs, 3 * genus + n_leaves - 3, deg):
+    for combo in _edge_multisets(pairs, 3 * genus + n_leaves - 3, deg, swaps):
         # leaves are pendant: connectivity depends on the internal edges only
         if not _connected(internal, combo):
             continue
@@ -504,12 +506,12 @@ def enumerate_graphs(genus, n_leaves):
     return out
 
 
-def _edge_multisets(pairs, n_edges, deg, start=0, combo=()):
+def _edge_multisets(pairs, n_edges, deg, swaps, start=0, combo=()):
     """The multisets of n_edges `pairs` that give no vertex degree above 3,
     in combinations_with_replacement order, less every branch that a swap of
     two vertices makes lexicographically smaller.  `deg` holds the degrees
     of the current branch, which stops at the first edge that overfills a
-    vertex."""
+    vertex; `swaps` holds the `_transposition` maps of the vertices."""
     if len(combo) == n_edges:
         yield combo
         return
@@ -518,21 +520,26 @@ def _edge_multisets(pairs, n_edges, deg, start=0, combo=()):
         deg[i] += 1
         deg[j] += 1
         nxt = combo + (pairs[s],)
-        if deg[i] <= 3 and deg[j] <= 3 and not _swap_makes_smaller(len(deg), nxt):
-            yield from _edge_multisets(pairs, n_edges, deg, s, nxt)
+        if deg[i] <= 3 and deg[j] <= 3 and not _swap_makes_smaller(swaps, nxt):
+            yield from _edge_multisets(pairs, n_edges, deg, swaps, s, nxt)
         deg[i] -= 1
         deg[j] -= 1
 
 
-def _swap_makes_smaller(n, combo):
-    """True iff swapping some two of the vertices 0..n-1 turns the sorted
+def _transposition(pairs, a, b):
+    """The swap of vertices a and b as a map on the sorted edges `pairs`,
+    pair -> the sorted pair it becomes."""
+    swap = {a: b, b: a}
+    return {(i, j): tuple(sorted((swap.get(i, i), swap.get(j, j))))
+            for i, j in pairs}.__getitem__
+
+
+def _swap_makes_smaller(swaps, combo):
+    """True iff one of the `_transposition` maps `swaps` turns the sorted
     edge tuple `combo` into a smaller one."""
-    for a in range(n):
-        for b in range(a + 1, n):
-            swap = list(range(n))
-            swap[a], swap[b] = b, a
-            if _relabel(swap, combo) < combo:
-                return True
+    for f in swaps:
+        if tuple(sorted(map(f, combo))) < combo:
+            return True
     return False
 
 

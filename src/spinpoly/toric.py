@@ -52,7 +52,9 @@ def hilbert_by_fusion(g, r, L, Nmax):
     a later trinode still reads, sums over exactly the points that
     `lattice_points` lists.  So the table equals `hilbert(from_graph(g, r,
     L), Nmax)` for every r and L: this is the polytope's own count, not the
-    Verlinde formula, and needs none of its range conditions."""
+    Verlinde formula, and needs none of its range conditions.
+
+    Graphs of one `fusion_key` have equal tables."""
     g = weighted_graph(g, r)
     pinned, steps = _elimination_plan(g)
     entries = []
@@ -67,16 +69,42 @@ def hilbert_by_fusion(g, r, L, Nmax):
     return _table(entries)
 
 
+def fusion_key(g, r):
+    """What `hilbert_by_fusion(g, r, L, Nmax)` reads of g and r: the
+    internal edges in edge order, the sorted leaf weights at each trinode in
+    vertex order, and the sorted weight pair of any edge joining two leaves.
+
+    Graphs with equal keys have the same polytope up to an order of the
+    leaf coordinates: a trinode's constraints are symmetric in its three
+    edges, and a leaf edge is pinned to N times its weight.  So their tables
+    are equal for every L and Nmax.  Vertices are keyed as they are, not by
+    their str, so 1 and "1" stay apart."""
+    g = weighted_graph(g, r)
+    weight = {v: w for (_, v), w in zip(g.leaves, r)}
+    internal, joined, at = [], [], {}
+    for a, b in g.edges:
+        if a in weight and b in weight:
+            joined.append(tuple(sorted((weight[a], weight[b]))))
+        elif a in weight or b in weight:
+            v, leaf = (b, a) if a in weight else (a, b)
+            at.setdefault(v, []).append(weight[leaf])
+        else:
+            internal.append((a, b))
+    return (tuple(internal),
+            tuple((v, tuple(sorted(at[v]))) for v in g.vertices if v in at),
+            tuple(joined))
+
+
 def _elimination_plan(g):
     """The leaf edges of g in label order, and its trinodes in a greedy
     elimination order as steps (loop, known, keep).  The running counts are
     keyed by the weights of the frontier: the edges that a later trinode
-    still reads.  A step's trinode reads its known edges at positions
-    `known` of (leaf pins, frontier), and brings in the rest as new edges
-    (a loop edge is always new, and last); `keep` picks the next frontier
-    from (leaf pins, frontier, new).  Each step takes the trinode that brings
-    in the fewest new edges, then the one that reads the most frontier
-    edges, then the first in vertex order."""
+    still reads.  A step's trinode reads its known edges through the
+    `_take` getter `known` of (leaf pins, frontier), and brings in the rest
+    as new edges (a loop edge is always new, and last); the getter `keep`
+    picks the next frontier from (leaf pins, frontier, new).  Each step
+    takes the trinode that brings in the fewest new edges, then the one
+    that reads the most frontier edges, then the first in vertex order."""
     at = {v: [] for v in g.vertices}
     for i, e in enumerate(g.edges):
         for v in e:
@@ -94,8 +122,8 @@ def _elimination_plan(g):
         keep = [e for e in (*frontier, *new) if e in later]
         layout = (*pinned, *frontier, *new)
         steps.append((len(edges) == 2,
-                      tuple(layout.index(e) for e in edges if e in known),
-                      tuple(layout.index(e) for e in keep)))
+                      _take([layout.index(e) for e in edges if e in known]),
+                      _take([layout.index(e) for e in keep])))
         frontier = tuple(keep)
     return pinned, steps
 
@@ -104,7 +132,6 @@ def _fusion_count(steps, pins, NL):
     rules = _fusion_rules(NL)
     counts = {(): 1}
     for loop, known, keep in steps:
-        known, keep = _take(known), _take(keep)
         nxt = {}
         for vals, c in counts.items():
             ext = pins + vals
@@ -421,6 +448,9 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
       the assembled concatenation order.
     invariance, L >= 0, nmax >= 1: Hilbert tables to dilation nmax, by
       `hilbert_by_fusion`, agree across all graphs with (genus, leaves).
+      Every graph gets a table, and graphs of one `fusion_key` share one
+      count: their polytopes differ only in the order of the leaf
+      coordinates, so their tables are equal at every level and dilation.
     d2bp, L >= 0: caterpillar tree + even r: the assembly is a fiber
       product of <= 2-dimensional balanced blocks and its GB check passes.
 
@@ -446,7 +476,14 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
             raise HypothesisViolated(f"no graph has genus {genus} and {leaves} leaves")
         t1 = time.perf_counter()
         timings["graphs"] = t1 - t0
-        tables = [hilbert_by_fusion(g, tuple(r), level, nmax) for g in gs]
+        r = tuple(r)
+        shared = {}  # fusion_key -> table, for this call only
+        tables = []
+        for g in gs:
+            key = fusion_key(g, r)
+            if key not in shared:
+                shared[key] = hilbert_by_fusion(g, r, level, nmax)
+            tables.append(shared[key])
         timings["counts"] = time.perf_counter() - t1
         ok = all(t == tables[0] for t in tables)
         if ok and not any(tables[0][1:2]):

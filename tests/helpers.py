@@ -19,6 +19,7 @@ from spinpoly.graphs import (
     MarkedGraph,
     _canonical_key,
     _connected,
+    _relabel,
     caterpillar_tree,
     validate,
 )
@@ -314,6 +315,19 @@ def _leaf_assignments(free, n_leaves):
                     yield (v,) + rest
 
     return rec(1, list(free))
+
+
+def naive_swap_makes_smaller(n, combo):
+    """True iff swapping some two of the vertices 0..n-1 turns the sorted
+    edge tuple `combo` into a smaller one, each swap relabelling and
+    re-sorting every edge."""
+    for a in range(n):
+        for b in range(a + 1, n):
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            if _relabel(swap, combo) < combo:
+                return True
+    return False
 
 
 def naive_canonical_key(n, combo, assign):

@@ -28,6 +28,7 @@ from helpers import (
     naive_candidates,
     naive_canonical_key,
     naive_enumerate_graphs,
+    naive_swap_makes_smaller,
     reglue,
 )
 
@@ -273,6 +274,23 @@ def test_enumerate_matches_naive(genus, n):
 def test_enumerate_matches_keyed_oracle(genus, n):
     # same graphs in the same order as a key per multiset and per assignment
     assert graphs.enumerate_graphs(genus, n) == keyed_enumerate_graphs(genus, n)
+
+
+@pytest.mark.parametrize("genus,n", [(2, 4), (1, 5)])
+def test_swap_test_matches_relabelling_oracle(genus, n, monkeypatch):
+    # every prefix the orderly walk tests gets the answer of relabelling it
+    # under each swap of two vertices
+    test, n_internal, seen = graphs._swap_makes_smaller, 2 * genus + n - 2, []
+
+    def checked(swaps, combo):
+        smaller = test(swaps, combo)
+        assert smaller == naive_swap_makes_smaller(n_internal, combo), combo
+        seen.append(smaller)
+        return smaller
+
+    monkeypatch.setattr(graphs, "_swap_makes_smaller", checked)
+    graphs.enumerate_graphs(genus, n)
+    assert True in seen and False in seen
 
 
 def _nx_graph(g):

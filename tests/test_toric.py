@@ -25,6 +25,7 @@ from spinpoly.polytopes import (
 from spinpoly.catp import boxtimes_assemble
 from spinpoly.termorders import Check, sigma2_lex_order, standard_monomials
 from spinpoly.toric import (
+    fusion_key,
     hilbert,
     hilbert_by_fusion,
     is_normal,
@@ -91,18 +92,58 @@ def test_hilbert_by_fusion_matches_enumeration(genus, leaves, L, r):
                 == hilbert(from_graph(g, r, L), 3))
 
 
+SWEEP_FAMILIES = ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (2, 0), (2, 1))
+
+
 def test_hilbert_by_fusion_seeded_sweep():
     # r_i > L, an odd number of odd r_i, loops (genus 1 and 2), doubled
     # edges (genus 2), the leaf-to-leaf edge of (0, 2), and L = 0
     rng = random.Random(18)
-    for genus, leaves in ((0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (2, 0),
-                          (2, 1)):
+    for genus, leaves in SWEEP_FAMILIES:
         for g in graphs.enumerate_graphs(genus, leaves):
             for _ in range(6):
                 r = tuple(rng.randrange(5) for _ in range(leaves))
                 L = rng.randrange(4)
                 assert (hilbert_by_fusion(g, r, L, 3)
                         == hilbert(from_graph(g, r, L), 3)), (g, r, L)
+
+
+def test_fusion_key_groups_share_the_enumerated_table():
+    # one fusion count per (L, key) stands for every graph of the group, also
+    # across families and weights
+    rng = random.Random(29)
+    cases = list(INVARIANCE_FAMILIES)
+    for genus, leaves in SWEEP_FAMILIES:
+        for _ in range(3):
+            cases.append((genus, leaves, rng.randrange(4),
+                          tuple(rng.randrange(5) for _ in range(leaves))))
+    shared, n = {}, 0
+    for genus, leaves, L, r in cases:
+        for g in graphs.enumerate_graphs(genus, leaves):
+            key = L, fusion_key(g, r)
+            if key not in shared:
+                shared[key] = hilbert_by_fusion(g, r, L, 3)
+            assert hilbert(from_graph(g, r, L), 3) == shared[key], (g, r, L)
+            n += 1
+    assert len(shared) < n / 2
+
+
+def test_fusion_key_reads_leaf_weights_per_trinode():
+    g = graphs.caterpillar_tree(5)  # leaves 1, 2 | 3 | 4, 5 along the spine
+    r = (1, 2, 3, 4, 5)
+    assert fusion_key(g, r) == fusion_key(g, (2, 1, 3, 5, 4))
+    assert fusion_key(g, r) != fusion_key(g, (1, 3, 2, 4, 5))
+    assert fusion_key(g, r) != fusion_key(g, (5, 2, 3, 4, 1))
+    # vertices are keyed as they are: 1 and "1" are two trinodes
+    h = graphs.MarkedGraph(
+        (1, "1", "a", "b", "c", "d"),
+        ((1, "1"), (1, "a"), (1, "b"), ("1", "c"), ("1", "d")),
+        ((1, "a"), (2, "b"), (3, "c"), (4, "d")))
+    assert fusion_key(h, (1, 1, 2, 2)) != fusion_key(h, (2, 2, 1, 1))
+    # the edge joining two leaves keys its weight pair
+    two = graphs.caterpillar_tree(2)
+    assert fusion_key(two, (1, 2)) == fusion_key(two, (2, 1))
+    assert fusion_key(two, (1, 2)) != fusion_key(two, (1, 1))
 
 
 def _brute_triples(k):
@@ -581,6 +622,42 @@ def test_invariance():
     assert cert.instance["nGraphs"] == 3
     assert cert.table == [1, 1, 1, 1]
     assert set(cert.timings) == {"graphs", "counts", "total"}
+
+
+def test_invariance_genus_2_five_leaves():
+    # the values of one count per graph
+    cert = verify_theorem("invariance", genus=2, leaves=5, r=(2,) * 5,
+                          level=4, nmax=3)
+    assert cert.result
+    assert cert.instance["nGraphs"] == 4725
+    assert cert.table == [1, 765, 37125, 517881]
+
+
+def test_invariance_failure_lists_every_graph_of_a_bumped_shape(monkeypatch):
+    genus, leaves, r, L = 1, 4, (1, 1, 2, 2), 2
+    gs = graphs.enumerate_graphs(genus, leaves)
+    keys = [fusion_key(g, r) for g in gs]
+    bumped = max(keys, key=keys.count)
+    assert keys.count(bumped) > 1
+    count = toric.hilbert_by_fusion
+
+    def bump(g, r, L, Nmax):
+        table = count(g, r, L, Nmax)
+        if fusion_key(g, r) == bumped:
+            table = table[:-1] + (table[-1] + 1,)
+        return table
+
+    monkeypatch.setattr(toric, "hilbert_by_fusion", bump)
+    cert = verify_theorem("invariance", genus=genus, leaves=leaves, r=r,
+                          level=L, nmax=3)
+    assert not cert.result and cert.table is None
+    [witness] = cert.witnesses
+    tables = witness["tables"]
+    assert len(tables) == len(gs)
+    for g, key, table in zip(gs, keys, tables):
+        right = hilbert(from_graph(g, r, L), 3)
+        assert table == (right[:-1] + (right[-1] + 1,) if key == bumped
+                         else right)
 
 
 @pytest.mark.parametrize("nmax", [0, -1])
