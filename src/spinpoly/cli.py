@@ -236,7 +236,7 @@ def _dispatch(args):
         pts = P.lattice_points(args.dilation)
         return True, {"dilation": args.dilation}, {
             "count": len(pts),
-            "points": [list(p) for p in pts],
+            "points": pts,  # json writes each point tuple as an array
         }
 
     if cmd == "hilbert":

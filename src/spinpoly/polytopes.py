@@ -137,6 +137,15 @@ def _search(P, N, count):
     out = []
     total = 0
     last = len(free) - 1
+    if count and last:
+        # the tail: position last - 1 sums x_last's range lengths; each cap
+        # on x_last is affine in x_prev, and so is a parity set holding both
+        prev, jl = free[last - 1], free[last]
+        at = dict(touching[prev])
+        tail_ups = [(c, a, cap, at.get(c, 0)) for c, a, cap in ups[last]]
+        tail_downs = [(c, a, cap, at.get(c, 0)) for c, a, cap in downs[last]]
+        tail_checks = [([i for i in others if i != prev], odd, prev in others)
+                       for others, odd in checks[last]]
 
     def dfs(k):
         nonlocal total
@@ -160,6 +169,36 @@ def _search(P, N, count):
         if par is not None and xlo % 2 != par:
             xlo += 1
         xs = range(xlo, xhi + 1, 1 if par is None else 2)
+        if count and k == last - 1:
+            ub = [(cap - partial[c], a, b) for c, a, cap, b in tail_ups]
+            db = [(cap - partial[c], a, b) for c, a, cap, b in tail_downs]
+            fixed, flip = set(), set()
+            for others, odd, held in tail_checks:
+                (flip if held else fixed).add(
+                    (odd + sum(point[i] for i in others)) % 2)
+            if len(fixed) > 1 or len(flip) > 1:
+                return
+            pf = fixed.pop() if fixed else None
+            pv = flip.pop() if flip else None
+            for x in xs:
+                ylo, yhi = lo[jl], hi[jl]
+                for v, a, b in ub:
+                    y = (v - b * x) // a
+                    if y < yhi:
+                        yhi = y
+                for v, a, b in db:
+                    y = -((v - b * x) // a)
+                    if y > ylo:
+                        ylo = y
+                par = pf if pv is None else pv ^ x & 1
+                if par is None:
+                    if yhi >= ylo:
+                        total += yhi - ylo + 1
+                elif pf is None or par == pf:
+                    ylo += (ylo - par) % 2
+                    if yhi >= ylo:
+                        total += (yhi - ylo) // 2 + 1
+            return
         if k == last:
             if count:
                 total += len(xs)

@@ -9,6 +9,8 @@ A monomial is a multiset of lattice points: the sorted tuple of its points,
 as `combinations_with_replacement` yields it over the sorted points of P.
 Its fiber is the set of same-degree monomials with the same coordinate sum,
 and its standard monomial is the fiber's least member under the order.
+The GB check reads degree 2 only, from `standard_pairs`; whole fibers
+(`monomials_by_image`) serve the tests and the benchmark's trace.
 """
 
 from dataclasses import dataclass
@@ -28,8 +30,8 @@ class TotalOrder:
     """A total order from one point table.
 
     entry(p) = (weight, point key), the key holding the declared tie-breaks;
-    monomial_key(m) = (degree, total weight, point keys sorted in decreasing
-    order), compared lexicographically.
+    monomials of one degree compare by (total weight, point keys sorted in
+    decreasing order), lexicographically.
 
     Each order keeps one point table: a point's entry is computed on first
     use and then looked up, so the lattice transform and the factor orders
@@ -44,10 +46,6 @@ class TotalOrder:
         if e is None:
             e = self._table[point] = self._entry(point)
         return e
-
-    def monomial_key(self, m):
-        weights, keys = zip(*map(self.entry, m))
-        return (len(m), sum(weights), tuple(sorted(keys, reverse=True)))
 
 
 def sigma2_lex_order(transform=None):
@@ -101,10 +99,22 @@ def monomials_by_image(P, N):
     return out
 
 
-def standard_monomials(P, order, N):
-    """The least monomial of each nonempty degree-N fiber under `order`."""
-    return {min(fiber, key=order.monomial_key)
-            for fiber in monomials_by_image(P, N).values()}
+def standard_pairs(P, order):
+    """The least pair of each degree-2 fiber of P under `order`.  One walk
+    over pairs i <= j in combination order keys each pair's fiber by the
+    `_sum_code` integer of its sum and keeps the least (w_i + w_j, larger
+    key, smaller key), the order's degree-2 comparison; the first on a tie."""
+    pts = P.lattice_points(1)
+    code = _sum_code(pts, 2)
+    table = [(code(p, 1), order.entry(p), p) for p in pts]
+    best = {}
+    for i, (ci, (wi, ki), p) in enumerate(table):
+        for cj, (wj, kj), q in table[i:]:
+            key = (wi + wj, ki, kj) if ki > kj else (wi + wj, kj, ki)
+            old = best.get(ci + cj)
+            if old is None or key < old[0]:
+                best[ci + cj] = key, (p, q)
+    return {m for _, m in best.values()}
 
 
 @dataclass

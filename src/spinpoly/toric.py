@@ -21,7 +21,7 @@ from .graphs import (
 )
 from .catp import boxtimes_assemble
 from .polytopes import count_points, from_graph, require_degree_one_point
-from .termorders import Check, is_balanced, standard_monomials, _sum_code
+from .termorders import Check, is_balanced, standard_pairs, _sum_code
 
 
 def _table(entries):
@@ -318,13 +318,14 @@ def relation_degree(P, move_degree_max, Dmax):
     for N in range(2, Dmax + 1):
         fibers = _next_fibers(fibers, codes, unit, bits)
         lower, trees = trees, {}
+        probes = range(n) if lower else ()  # degree 2: no tree below
         minimal[N] = 0
         for b, fiber in fibers.items():
             if len(fiber) <= 1:
                 continue
             # codes add without carrying, so b - codes[p] keys a degree-(N-1)
             # fiber only if that fiber times p lies in this one
-            lifts = [(unit[p], t) for p in range(n)
+            lifts = [(unit[p], t) for p in probes
                      if (t := lower.get(b - codes[p]))]
             tree = _lifted_spanning_tree(fiber, lifts, N)
             if N < Dmax:
@@ -370,7 +371,7 @@ def quadratic_squarefree_gb(P, order, table):
     free coordinates."""
     Dmax = len(table) - 1
     pts = list(P.lattice_points(1))
-    std2 = standard_monomials(P, order, 2)
+    std2 = standard_pairs(P, order)
     for p in pts:
         if (p, p) not in std2:
             return Check(False, {"reason": "square leading term",

@@ -20,7 +20,9 @@ from spinpoly.graphs import (
     _canonical_key,
     _connected,
     _relabel,
+    add_loop_at_leaf,
     caterpillar_tree,
+    double_edge_at,
     validate,
 )
 from spinpoly.polytopes import (
@@ -33,7 +35,7 @@ from spinpoly.polytopes import (
     _trinode_rows,
     _unit,
 )
-from spinpoly.termorders import Check, monomials_by_image, standard_monomials
+from spinpoly.termorders import Check, monomials_by_image
 from spinpoly.toric import GenerationCertificate
 
 
@@ -46,6 +48,24 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def gb_route_instances():
+    """The graphs, r and L on which a GB check runs: perfbench's certify
+    graphs at L = 4 and 6, every polyquad and d2bp instance of the battery,
+    and cat6 at L = 3 and 5, where the check fails on the count."""
+    t4 = caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    for g in (caterpillar_tree(6), add_loop_at_leaf(caterpillar_tree(3), 1),
+              double_edge_at(t4, internal[0])):
+        for L in (4, 6):
+            yield g, (2,) * g.n_leaves, L
+    for name, kw, _ in load_script("run_verifications").instances():
+        if name in ("polyquad", "d2bp"):
+            yield kw["graph"], kw["r"], kw["level"]
+    for L in (3, 5):
+        yield caterpillar_tree(6), (2,) * 6, L
 
 
 # -- building blocks that no command builds ------------------------------
@@ -451,12 +471,26 @@ def fiber_set(P, b, N):
     return sorted(out)
 
 
+def monomial_key(order, m):
+    """The comparison of `order` on monomials: (degree, total weight, point
+    keys sorted in decreasing order), lexicographically."""
+    weights, keys = zip(*map(order.entry, m))
+    return (len(m), sum(weights), tuple(sorted(keys, reverse=True)))
+
+
+def standard_monomials(P, order, N):
+    """The least monomial of each nonempty degree-N fiber under `order`:
+    the oracle of `termorders.standard_pairs` in degree 2."""
+    return {min(fiber, key=lambda m: monomial_key(order, m))
+            for fiber in monomials_by_image(P, N).values()}
+
+
 def degree_two_relations(P, order):
     """Pairs (nonstandard degree-2 monomial, the standard one in its fiber),
     sorted."""
     out = []
     for fiber in monomials_by_image(P, 2).values():
-        std = min(fiber, key=order.monomial_key)
+        std = min(fiber, key=lambda m: monomial_key(order, m))
         out += [(m, std) for m in fiber if m != std]
     return sorted(out)
 
@@ -466,7 +500,7 @@ def degree_two_relations(P, order):
 
 def key_minima(order):
     """A fiber's standard members under a total order: its least one."""
-    return lambda fiber: [min(fiber, key=order.monomial_key)]
+    return lambda fiber: [min(fiber, key=lambda m: monomial_key(order, m))]
 
 
 def weight_minima(weight):

@@ -20,7 +20,6 @@ from spinpoly.termorders import (
     is_balanced,
     sigma2_lex_order,
     sigma_squared,
-    standard_monomials,
 )
 from spinpoly.toric import (
     hilbert,
@@ -40,10 +39,12 @@ from helpers import (
     is_slice_balanced,
     loop_b,
     loop_b2,
+    monomial_key,
     naive_is_flag,
     p3_fixed1,
     p3_fixed2,
     product_standard_characterization,
+    standard_monomials,
     sum_weight,
     trinode_cubic_region,
     verify_double_weight_equivalence,
@@ -250,7 +251,7 @@ def test_criterion_9_sigma2_fixture():
     order = sigma2_lex_order()
     pts_ok = sorted(fib) == [
         ((0,), (0,), (3,)), ((0,), (1,), (2,)), ((1,), (1,), (1,))]
-    weights = {m: order.monomial_key(m)[1] for m in fib}
+    weights = {m: monomial_key(order, m)[1] for m in fib}
     weights_ok = (weights[((0,), (0,), (3,))] == 9
                   and weights[((0,), (1,), (2,))] == 5
                   and weights[((1,), (1,), (1,))] == 3)

@@ -63,6 +63,26 @@ def test_points_out_file(t4_path, tmp_path, capsys):
     assert rep["count"] == 1
 
 
+def test_points_report_writes_point_tuples_as_arrays(tmp_path, capsys):
+    # the report holds the search's point tuples as they are; its bytes are
+    # those of the same report with every point a list
+    t4 = graphs.caterpillar_tree(4)
+    internal = [i for i, (a, b) in enumerate(t4.edges)
+                if t4.degree(a) == 3 and t4.degree(b) == 3]
+    g = graphs.double_edge_at(t4, internal[0])
+    path = tmp_path / "dbl4.json"
+    path.write_text(json.dumps(g.to_json_dict()))
+    assert run(["points", "--graph", str(path), "--r", "2,2,2,2",
+                "--level", "6", "--dilation", "5"]) == 0
+    text = capsys.readouterr().out
+    rep = json.loads(text)
+    pts = from_graph(g, (2, 2, 2, 2), 6).lattice_points(5)
+    assert rep["count"] == len(pts) == 13871
+    assert rep["points"] == [list(p) for p in pts]
+    assert json.dumps(rep, separators=(",", ":"), sort_keys=True) + "\n" \
+        == text
+
+
 def test_hilbert_json_and_csv(loopy_path, capsys):
     assert run(["hilbert", "--graph", loopy_path, "--r", "2,2",
                 "--level", "2", "--max-dilation", "3"]) == 0

@@ -3,6 +3,7 @@ lattice maps are integer matrices, not rationals, and every definition in
 it is reached from a command, a script or the benchmark."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -102,6 +103,17 @@ def _reads(node, names):
     return out
 
 
+def traced(root):
+    """perfbench/tracing.py's TRACED, module -> traced names, read from its
+    source."""
+    tree = ast.parse((root / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "TRACED" in [
+                getattr(t, "id", None) for t in node.targets]:
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def unreached_definitions(root):
     """The top-level definitions of `root`'s src/spinpoly that nothing
     reaches from `cli.main`, `cli.run`, the names that scripts/ imports or
@@ -128,13 +140,8 @@ def unreached_definitions(root):
         roots |= _reads(tree, names)
         roots |= {v for v in names.values() if isinstance(v, tuple)}
     for path in (root / "perfbench").glob("*.py"):
-        tree = ast.parse(path.read_text())
-        roots |= _reads(tree, {"sp": ""})
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and "TRACED" in [
-                    getattr(t, "id", None) for t in node.targets]:
-                traced = ast.literal_eval(node.value)
-                roots |= {(m, f) for m, fs in traced.items() for f in fs}
+        roots |= _reads(ast.parse(path.read_text()), {"sp": ""})
+    roots |= {(m, f) for m, fs in traced(root).items() for f in fs}
     seen, todo = set(), [r for r in roots if r in uses]
     while todo:
         d = todo.pop()
@@ -148,3 +155,20 @@ def test_src_holds_only_reached_definitions():
     # a definition that no command, script or benchmark reaches belongs in
     # tests/helpers.py, or nowhere
     assert unreached_definitions(SRC.parent) == []
+
+
+def test_every_traced_name_is_defined():
+    # perfbench marks a metric absent when its traced function is gone, and
+    # `record_bench.py guard` then fails; a deletion fails here first.  As
+    # in the tracer, `transform_point` is a GradedPolytope method.
+    names = traced(SRC.parent)
+    assert names
+    missing = []
+    for mod, fs in names.items():
+        home = importlib.import_module(f"spinpoly.{mod}")
+        for f in fs:
+            where = home.GradedPolytope.__dict__ if f == "transform_point" \
+                else vars(home)
+            if not callable(where.get(f)):
+                missing.append(f"{mod}.{f}")
+    assert missing == []

@@ -34,8 +34,8 @@ from helpers import (
     B2_COORDS_INVERSE,
     assembled_point_to_graph_point,
     fraction_glue_rows,
+    gb_route_instances,
     in_parity_lattice,
-    load_script,
     loop_b,
     loop_b2,
     loop_with_leaf,
@@ -150,6 +150,40 @@ def test_random_systems_match_naive(system, N):
     box, P = system
     assert list(lattice_points(P, N)) == naive_nonneg_points(P, N, box * N)
     assert count_points(P, N) == len(lattice_points(P, N))
+
+
+@st.composite
+def tail_systems(draw):
+    """A random system in the box 0 <= x <= B with at least two coordinates,
+    where rows couple the last two: one caps the last coordinate from below
+    (a negative coefficient on it) and one from above, and a parity set
+    holds both, so the counting search's tail reads the previous
+    coordinate's value and parity."""
+    dim = draw(st.integers(2, 4))
+    box = draw(st.integers(1, 3))
+    coef = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    nonzero = st.sampled_from((-2, -1, 1, 2))
+    ineqs = [(tuple(draw(coef)), draw(st.integers(-2, 4)))
+             for _ in range(draw(st.integers(0, 2)))]
+    for sign in (-1, 1):
+        row = draw(coef)[:-2] + [draw(nonzero), sign * draw(st.integers(1, 2))]
+        ineqs.append((tuple(row), draw(st.integers(-1, 3))))
+    for j in range(dim):
+        ineqs += [(_unit(dim, j, -1), 0), (_unit(dim, j), box)]
+    extra = draw(st.lists(st.integers(0, dim - 1), max_size=2))
+    psets = [tuple(extra) + (dim - 2, dim - 1)]
+    psets += draw(st.lists(st.lists(st.integers(0, dim - 1), max_size=3)
+                           .map(tuple), max_size=1))
+    return box, GradedPolytope(dim, tuple(ineqs), (), tuple(psets))
+
+
+@given(tail_systems(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_count_tail_matches_naive(system, N):
+    box, P = system
+    naive = naive_nonneg_points(P, N, box * N)
+    assert list(lattice_points(P, N)) == naive
+    assert count_points(P, N) == len(naive)
 
 
 # -- frozen oracles -------------------------------------------------------
@@ -368,29 +402,10 @@ def test_assemble_matches_graph_polytope():
             assert len(A.polytope.lattice_points(N)) == len(direct)
 
 
-def _gb_route_instances():
-    """The graphs, r and L on which a GB check runs: perfbench's certify
-    graphs at L = 4 and 6, every polyquad and d2bp instance of the battery,
-    and cat6 at L = 3 and 5, where the check fails on the count."""
-    t4 = graphs.caterpillar_tree(4)
-    internal = [i for i, (a, b) in enumerate(t4.edges)
-                if t4.degree(a) == 3 and t4.degree(b) == 3]
-    for g in (graphs.caterpillar_tree(6),
-              graphs.add_loop_at_leaf(graphs.caterpillar_tree(3), 1),
-              graphs.double_edge_at(t4, internal[0])):
-        for L in (4, 6):
-            yield g, (2,) * g.n_leaves, L
-    for name, kw, _ in load_script("run_verifications").instances():
-        if name in ("polyquad", "d2bp"):
-            yield kw["graph"], kw["r"], kw["level"]
-    for L in (3, 5):
-        yield graphs.caterpillar_tree(6), (2,) * 6, L
-
-
 def test_even_interior_assembly_counts_match_graph_polytope():
     # the GB check reads the graph polytope's table against the standard
     # monomials of the even-interior assembly: their counts must agree
-    cases = list(_gb_route_instances())
+    cases = list(gb_route_instances())
     assert len(cases) == 6 + 9 + 2
     for g, r, L in cases:
         assembled = boxtimes_assemble(g, r, L)[1].polytope

@@ -27,7 +27,7 @@ from spinpoly.termorders import (
     monomials_by_image,
     sigma2_lex_order,
     sigma_squared,
-    standard_monomials,
+    standard_pairs,
     _balanced_decomposition_exists,
 )
 
@@ -36,14 +36,17 @@ from helpers import (
     balance_tuple,
     blocks_up_to_level_2,
     fiber_set,
+    gb_route_instances,
     is_slice_balanced,
     key_minima,
     loop_b,
     loop_b2,
+    monomial_key,
     multiset_difference_size,
     naive_is_flag,
     p3_fixed1,
     p3_fixed2,
+    standard_monomials,
     sum_weight,
     weight_minima,
 )
@@ -119,7 +122,7 @@ def test_fiber_set_interval_oracle():
     assert sorted(fib) == [
         ((0,), (0,), (3,)), ((0,), (1,), (2,)), ((1,), (1,), (1,))]
     order = sigma2_lex_order()
-    weights = sorted(order.monomial_key(m)[1] for m in fib)
+    weights = sorted(monomial_key(order, m)[1] for m in fib)
     assert weights == [3, 5, 9]
     assert standard_monomials(interval(3), order, 3) >= {
         ((1,), (1,), (1,))}
@@ -139,7 +142,7 @@ def test_standard_monomial_p3_oracle():
     P = p3(2)
     order = sigma2_lex_order(P.transform_point)
     fib = fiber_set(P, (2, 2, 2), 3)
-    best = min(fib, key=order.monomial_key)
+    best = min(fib, key=lambda m: monomial_key(order, m))
     assert best == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     std = standard_monomials(P, order, 3)
     assert best in std
@@ -179,6 +182,23 @@ def test_non_total_weight_can_tie():
             assert total(f)[0] in least
             tied += len(least) > 1
     assert tied == 7
+
+
+def test_standard_pairs_match_least_pair_of_each_fiber():
+    # the GB check's packed pair walk against the least member, by
+    # monomial_key, of each degree-2 fiber that monomials_by_image lists
+    cases = []
+    for g, r, L in gb_route_instances():
+        order, assembly = boxtimes_assemble(g, r, L)
+        cases.append((assembly.polytope, order))
+    for L in (1, 2, 3):
+        cases.append((interval(L), sigma2_lex_order()))
+        for q in (1, 2, 3, 4):
+            cases.append((quadrant(q, L), sigma2_lex_order()))
+            cases.append((quadrant(q, L), b2_cascade_order()))
+    cases.append((loop_b2(1), b2_cascade_order(loop_b2(1).transform_point)))
+    for P, order in cases:
+        assert standard_pairs(P, order) == standard_monomials(P, order, 2)
 
 
 def test_standard_count_matches_fibers():
@@ -363,7 +383,7 @@ def test_b2_cascade_unique_standards():
     order = b2_cascade_order(P.transform_point)
     for N in (2, 3):
         for f in monomials_by_image(P, N).values():
-            assert len({order.monomial_key(m) for m in f}) == len(f)
+            assert len({monomial_key(order, m) for m in f}) == len(f)
 
 
 def test_boxtimes_order_composition():
@@ -378,8 +398,8 @@ def test_monomial_key_orders_by_degree_then_weight():
     m1 = ((0,),)
     m2 = ((1,), (1,))
     m3 = ((0,), (2,))
-    assert order.monomial_key(m1) < order.monomial_key(m2)
-    assert order.monomial_key(m2) < order.monomial_key(m3)
+    assert monomial_key(order, m1) < monomial_key(order, m2)
+    assert monomial_key(order, m2) < monomial_key(order, m3)
 
 
 def test_point_table_keys_match_fresh_order(monkeypatch):
@@ -394,8 +414,8 @@ def test_point_table_keys_match_fresh_order(monkeypatch):
     monos = list(combinations_with_replacement(pts, 2))
     assert len(monos) > 100
     # fill the tables in reverse, then read every key back from them
-    filled = [order.monomial_key(m) for m in reversed(monos)][::-1]
-    memo = [order.monomial_key(m) for m in monos]
+    filled = [monomial_key(order, m) for m in reversed(monos)][::-1]
+    memo = [monomial_key(order, m) for m in monos]
     # each order has its own table
     assert sigma2_lex_order().entry((1, 0, 0, 0)) == (1, (1, (1, 0, 0, 0)))
     assert b2_cascade_order().entry((1, 0, 0, 0)) == (1, (1, 0, 0, 1, 0))
@@ -428,7 +448,7 @@ def test_boxtimes_keys_run_each_transform_once_per_point():
                            sigma2_lex_order(counting(B, calls[1])), 4)
     pts = [p + q for p in A.lattice_points(1) for q in B.lattice_points(1)]
     for m in combinations_with_replacement(pts, 2):
-        order.monomial_key(m)
+        monomial_key(order, m)
     for P, count in zip((A, B), calls):
         assert sorted(count) == list(P.lattice_points(1))
         assert set(count.values()) == {1}

@@ -23,7 +23,7 @@ from spinpoly.polytopes import (
     with_full_lattice,
 )
 from spinpoly.catp import boxtimes_assemble
-from spinpoly.termorders import Check, sigma2_lex_order, standard_monomials
+from spinpoly.termorders import Check, sigma2_lex_order, standard_pairs
 from spinpoly.toric import (
     fusion_key,
     hilbert,
@@ -454,7 +454,7 @@ def test_pair_standard_counts_match_multiset_search():
     for g, L, D in cases:
         order, assembly = boxtimes_assemble(g, (2,) * g.n_leaves, L)
         P = assembly.polytope
-        std2 = standard_monomials(P, order, 2)
+        std2 = standard_pairs(P, order)
         _assert_counts_match_search(list(P.lattice_points(1)), std2, D)
     # a hand-made standard-pair graph: the triangle 0-1-2 and the edge 2-3
     pts = [(i,) for i in range(5)]
@@ -482,7 +482,7 @@ def test_pair_standard_counts_match_networkx_cliques():
     largest = []
     for P, order in cases:
         pts = list(P.lattice_points(1))
-        std2 = standard_monomials(P, order, 2)
+        std2 = standard_pairs(P, order)
         assert all((p, p) in std2 for p in pts)
         G = nx.Graph()
         G.add_nodes_from(pts)
