@@ -1,9 +1,11 @@
-"""The concatenation (boxtimes) order on an assembled graph polytope.
+"""The concatenation (boxtimes) order on a graph polytope.
 
 A graph polytope is the fiber product of its exploded components over the
 intervals of their split edges (`polytopes.assemble`).  Each component
-carries a total order, and folding them with the concatenation rule gives a
-total order on the product, under which the Groebner-basis checks run.
+carries a total order on its own points, and the concatenation rule folds
+them, in the assembly's fold sequence, into a total order on the graph
+polytope's points: a point reads each component on that component's edges.
+The Groebner-basis checks run on the graph polytope under that order.
 
 Everything here is an empirical verifier: claims are checked exhaustively to
 a degree bound and reported; nothing is proved symbolically.
@@ -11,7 +13,7 @@ a degree bound and reported; nothing is proved symbolically.
 
 from .errors import HypothesisViolated
 from .graphs import doubled_pairs, explode, validate
-from .polytopes import assemble, require_degree_one_point
+from .polytopes import assemble, from_graph, require_degree_one_point
 from .termorders import b2_cascade_order, boxtimes_order, sigma2_lex_order
 
 
@@ -29,26 +31,29 @@ def component_total_order(P, frag, kind):
 
 
 def boxtimes_assemble(g, r, L):
-    """Assemble the graph polytope from its exploded components with interior
-    evenness, and fold the component total orders with the concatenation
-    rule.  Returns (order, Assembly); an assembly with no degree-1 point is
-    refused, as every check on it would pass vacuously."""
+    """Explode g into components with even cut edges, and fold their total
+    orders with the concatenation rule into an order on the points of
+    from_graph(g, r, L): entry(p) = (Σ w_c, (k_c, ...)), component c read
+    on its edges, the components in the assembly's fold sequence.  Returns
+    (order, Assembly).
+
+    A cut edge of odd weight is refused, as a component's lattice map halves
+    it; so is a polytope with no degree-1 point, as every check on it would
+    pass vacuously."""
     g = validate(g)
     eg = explode(g)
     assembly = assemble(eg, r, L, even_interior=True)
-    comp_seq = []
-    for ci, _, _ in assembly.coord_map:
-        if ci not in comp_seq:
-            comp_seq.append(ci)
-    orders = {}
-    dims = {}
-    for ci, (frag, kind, P) in enumerate(assembly.components):
-        orders[ci] = component_total_order(P, frag, kind)
-        dims[ci] = P.dim
-    acc = orders[comp_seq[0]]
-    acc_dim = dims[comp_seq[0]]
-    for ci in comp_seq[1:]:
-        acc = boxtimes_order(acc, orders[ci], acc_dim)
-        acc_dim += dims[ci]
-    require_degree_one_point(assembly.polytope, r, L)
-    return acc, assembly
+    parts = []
+    for c in assembly.sequence:
+        frag, kind, Pc = assembly.components[c]
+        parts.append((component_total_order(Pc, frag, kind),
+                      frag.original_edges))
+    P = from_graph(g, r, L)
+    pts = P.lattice_points(1)
+    for e, _, _ in eg.split_edges:
+        if any(p[e] % 2 for p in pts):
+            raise HypothesisViolated(
+                f"cut edge {e} {g.edges[e]} has odd weight at r={list(r)}: "
+                f"its components read it halved")
+    require_degree_one_point(P, r, L)
+    return boxtimes_order(parts), assembly

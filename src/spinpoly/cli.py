@@ -22,10 +22,10 @@ from .polytopes import (
 )
 from .termorders import is_balanced
 from .toric import (
-    generation,
     hilbert,
     is_normal,
     quadratic_squarefree_gb,
+    relation_degree,
     verify_theorem,
 )
 
@@ -97,7 +97,7 @@ def _build_parser():
     sp.add_argument("--dmax", type=_degree_bound, default=4)
 
     sp = sub.add_parser("gb-check", help="quadratic square-free GB check "
-                        "under the assembled order")
+                        "under the concatenation order")
     add_graph_args(sp)
     sp.add_argument("--dmax", type=_degree_bound, default=4)
 
@@ -252,7 +252,7 @@ def _dispatch(args):
         }
 
     if cmd == "relations":
-        cert = generation(P, args.move_max, args.dmax)
+        cert = relation_degree(P, args.move_max, args.dmax)
         return cert.relation_degree is not None, {
             "moveMax": args.move_max, "dmax": args.dmax}, {
             "relationDegree": cert.relation_degree,
@@ -264,8 +264,7 @@ def _dispatch(args):
 
     if cmd == "gb-check":
         order, assembly = boxtimes_assemble(g, r, L)
-        chk = quadratic_squarefree_gb(assembly.polytope, order,
-                                      hilbert(from_graph(g, r, L), args.dmax))
+        chk = quadratic_squarefree_gb(from_graph(g, r, L), order, args.dmax)
         return chk.ok, {"dmax": args.dmax}, {
             "pass": chk.ok,
             "detail": chk.witness if isinstance(chk.witness, dict) else None,

@@ -41,10 +41,6 @@ class ParityViolation(SpinpolyError):
     pass
 
 
-class BaseMismatch(SpinpolyError):
-    pass
-
-
 # -- term orders ----------------------------------------------------------
 
 class NotTotal(SpinpolyError):
@@ -52,14 +48,6 @@ class NotTotal(SpinpolyError):
 
 
 # -- toric ----------------------------------------------------------------
-
-class NormalityPrerequisiteFailed(SpinpolyError):
-    """`witness` is (N, a point of NP that is no sum of N points of P)."""
-
-    def __init__(self, witness):
-        super().__init__(f"not normal: witness {witness}")
-        self.witness = witness
-
 
 class HypothesisViolated(SpinpolyError):
     pass

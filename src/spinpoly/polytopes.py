@@ -3,16 +3,18 @@
 A GradedPolytope is an integer system a·x <= N·b / c·x = N·d whose right-hand
 sides scale with the dilation degree N, together with a parity sublattice
 (subsets of coordinates required to have even sum).  Graph polytopes, the
-building blocks of their exploded decompositions, fiber products, and the
-assembly pipeline all live here.
+polytopes of the components of their exploded decompositions, and the
+assembly that names those components and their fold sequence live here.
+The graph polytope is the fiber product of its components over the
+intervals of its cut edges; every check runs on the graph polytope itself,
+so that product is never built.
 """
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
-    BaseMismatch,
     HypothesisViolated,
     InvalidParams,
     ParityViolation,
@@ -26,12 +28,10 @@ INF = float("inf")
 @dataclass(frozen=True)
 class LatticeMap:
     """x -> rows·x / den: integer rows over a common denominator, required
-    to be integral on every point it is applied to.  target names the
-    polytope it maps into, where that matters (fiber products)."""
+    to be integral on every point it is applied to."""
 
     rows: tuple  # tuple of integer tuples
     den: int = 1
-    target: object = None  # GradedPolytope
 
     def apply(self, point):
         out = []
@@ -415,13 +415,6 @@ def fragment_polytope(frag, r_map, L, even_stubs=False):
 # -- building blocks -----------------------------------------------------
 
 
-def interval(L):
-    if L < 0:
-        raise InvalidParams("L must be nonnegative")
-    return GradedPolytope(1, (((-1,), 0), ((1,), L)), (), (),
-                          LatticeMap(((1,),)))
-
-
 _TRIANGLE_BASIS = LatticeMap(((-1, 1, 1), (1, -1, 1), (1, 1, -1)), 2)
 
 
@@ -481,60 +474,6 @@ def quadrant(q, L):
     return GradedPolytope(4, tuple(ineqs), ())
 
 
-# -- lattice maps and fiber products -------------------------------------
-
-
-def edge_projection(P, coord, L):
-    """w -> w_coord / 2 into the interval [0, L] (interior edges carry even
-    weight in context)."""
-    return LatticeMap((_unit(P.dim, coord),), 2, interval(L))
-
-
-@dataclass(frozen=True)
-class FiberProduct:
-    """A fiber product P1 x_Q P2 on concatenated coordinates."""
-
-    polytope: GradedPolytope
-    offset: int  # dim of P1; P2's coordinates start here
-
-
-def fiber_product(P1, f1, P2, f2):
-    """Points (x, y) with f1(x) = f2(y); BaseMismatch unless the maps share
-    a target."""
-    if f1.target != f2.target:
-        raise BaseMismatch("maps must share a base polytope")
-    d1, d2 = P1.dim, P2.dim
-    dim = d1 + d2
-
-    def pad1(row):
-        return tuple(row) + (0,) * d2
-
-    def pad2(row):
-        return (0,) * d1 + tuple(row)
-
-    ineqs = [(pad1(r), b) for r, b in P1.inequalities]
-    ineqs += [(pad2(r), b) for r, b in P2.inequalities]
-    eqs = [(pad1(r), b) for r, b in P1.equalities]
-    eqs += [(pad2(r), b) for r, b in P2.equalities]
-    den = lcm(f1.den, f2.den)
-    k1, k2 = den // f1.den, den // f2.den
-    for r1, r2 in zip(f1.rows, f2.rows):
-        row = tuple(k1 * c for c in r1) + tuple(-k2 * c for c in r2)
-        g = gcd(den, *row)
-        eqs.append((tuple(c // g for c in row), 0))
-    psets = [tuple(s) for s in P1.parity_sets]
-    psets += [tuple(d1 + i for i in s) for s in P2.parity_sets]
-    trans = None
-    t1, t2 = P1.to_lattice, P2.to_lattice
-    if t1 is not None and t2 is not None:
-        den = lcm(t1.den, t2.den)
-        rows = [pad1(den // t1.den * c for c in r) for r in t1.rows]
-        rows += [pad2(den // t2.den * c for c in r) for r in t2.rows]
-        trans = LatticeMap(tuple(rows), den)
-    poly = GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets), trans)
-    return FiberProduct(poly, d1)
-
-
 # -- assembly ------------------------------------------------------------
 
 
@@ -556,67 +495,29 @@ def recognize_block(frag):
 
 @dataclass(frozen=True)
 class Assembly:
-    polytope: GradedPolytope
     components: tuple  # (fragment, recognize_block name, GradedPolytope)
     steps: tuple       # readable fold description
-    coord_map: tuple   # per final coordinate: (component, local edge, original edge)
+    sequence: tuple    # component indices in fold order, component 0 first
 
 
 def assemble(eg, r, L, even_interior=False):
-    """Fold the exploded components into a single polytope via fiber products
-    over [0, L] along the split edges.
-
-    The result has one coordinate per component edge (split edges appear once
-    per side, glued by an equality); its lattice point count matches the
-    source graph polytope in every dilation."""
+    """The exploded components of a graph, each with its polytope, and the
+    sequence in which they fold along the split edges into the graph
+    polytope: component 0, then each component as a split edge joins it to
+    one already folded, in sweeps over the split edges in order.  Folding
+    is a fiber product over the interval [0, L] of the split edge; the
+    graph polytope is that product, so it is not built here."""
     r_map = {lab: r[lab - 1] for lab, _ in weighted_graph(eg.source, r).leaves}
     comps = []
     for frag in eg.components:
         P = fragment_polytope(frag, r_map, L, even_stubs=even_interior)
         comps.append((frag, recognize_block(frag), P))
 
-    # order components along the split-edge tree, root = component 0
-    n = len(eg.components)
-    attach = {0: None}
-    order = [0]
-    pending = list(eg.split_edges)
-    while pending:
-        progressed = False
-        for rec in list(pending):
-            _, (ca, ea), (cb, eb) = rec
-            if ca in attach and cb not in attach:
-                attach[cb] = (rec, ca, ea, cb, eb)
-                order.append(cb)
-                pending.remove(rec)
-                progressed = True
-            elif cb in attach and ca not in attach:
-                attach[ca] = (rec, cb, eb, ca, ea)
-                order.append(ca)
-                pending.remove(rec)
-                progressed = True
-        if not progressed:
-            break
-
-    coord_map = []
-    placed_coord = {}  # (component, local edge) -> accumulated coordinate
-    frag0 = eg.components[0]
-    for i in range(len(frag0.edges)):
-        placed_coord[(0, i)] = i
-        coord_map.append((0, i, frag0.original_edges[i]))
-    acc = comps[0][2]
+    sequence = [0]
+    for _ in eg.split_edges:  # a sweep folds at least one more component
+        for _, (ca, _), (cb, _) in eg.split_edges:
+            if (ca in sequence) != (cb in sequence):
+                sequence.append(cb if ca in sequence else ca)
     steps = [f"component0:{comps[0][1]}"]
-    for c in order[1:]:
-        rec, ca, ea, cb, eb = attach[c]
-        frag = eg.components[c]
-        P = comps[c][2]
-        f1 = edge_projection(acc, placed_coord[(ca, ea)], L)
-        f2 = edge_projection(P, eb, L)
-        fp = fiber_product(acc, f1, P, f2)
-        offset = fp.offset
-        for i in range(len(frag.edges)):
-            placed_coord[(c, i)] = offset + i
-            coord_map.append((c, i, frag.original_edges[i]))
-        acc = fp.polytope
-        steps.append(f"x_[0,{L}] component{c}:{comps[c][1]}")
-    return Assembly(acc, tuple(comps), tuple(steps), tuple(coord_map))
-
+    steps += [f"x_[0,{L}] component{c}:{comps[c][1]}" for c in sequence[1:]]
+    return Assembly(tuple(comps), tuple(steps), tuple(sequence))

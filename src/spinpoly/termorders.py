@@ -76,13 +76,18 @@ def b2_cascade_order(transform=None):
     return TotalOrder(entry)
 
 
-def boxtimes_order(o1, o2, split):
-    """Concatenation order on fiber-product points (first `split` coordinates
-    from the left factor): weight is the sum of factor weights; ties broken by
-    the left factor's total key, then the right's."""
+def boxtimes_order(parts):
+    """Concatenation order over ((order, coordinate indices), ...): a point
+    p reads factor c on (p[i] for i in its indices); its weight is the sum
+    of the factor weights, and ties break on the factors' keys in sequence,
+    (k_1, k_2, ...)."""
     def entry(p):
-        (w1, k1), (w2, k2) = o1.entry(p[:split]), o2.entry(p[split:])
-        return w1 + w2, (k1, k2)
+        w, keys = 0, []
+        for order, idx in parts:
+            wc, kc = order.entry(tuple(p[i] for i in idx))
+            w += wc
+            keys.append(kc)
+        return w, tuple(keys)
 
     return TotalOrder(entry)
 

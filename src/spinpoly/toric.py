@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
-from .errors import HypothesisViolated, NormalityPrerequisiteFailed
+from .errors import HypothesisViolated
 from .graphs import (
     GraphClass,
     classify,
@@ -299,11 +299,11 @@ def relation_degree(P, move_degree_max, Dmax):
     witnesses' images are decoded to point tuples.
 
     Normality, the prerequisite, is checked by `is_normal` before any fiber
-    is built; a failure raises NormalityPrerequisiteFailed with its
-    witness."""
+    is built; on a failure the certificate fails with one witness, its
+    (N, point)."""
     chk = is_normal(P, Dmax)
     if not chk.ok:
-        raise NormalityPrerequisiteFailed(chk.witness)
+        return GenerationCertificate(None, (chk.witness,))
     pts = P.lattice_points(1)
     n, bits = len(pts), Dmax.bit_length()
     code = _sum_code(pts, Dmax)
@@ -351,25 +351,14 @@ def relation_degree(P, move_degree_max, Dmax):
     return GenerationCertificate(overall, tuple(tight), minimal)
 
 
-def generation(P, move_degree_max, Dmax):
-    """The relation step of `relations` and `polypres`: `relation_degree`,
-    with a failed normality prerequisite turned into a failed certificate
-    whose one witness is its (N, point)."""
-    try:
-        return relation_degree(P, move_degree_max, Dmax)
-    except NormalityPrerequisiteFailed as e:
-        return GenerationCertificate(None, (e.witness,))
-
-
-def quadratic_squarefree_gb(P, order, table):
-    """Certify, to degree Dmax = len(table) - 1, that the quadratic binomials
-    with nonstandard leading terms form a square-free Groebner basis under
-    the total order `order`: all squares must be standard, and the count of
+def quadratic_squarefree_gb(P, order, Dmax):
+    """Certify, to degree Dmax, that the quadratic binomials with
+    nonstandard leading terms form a square-free Groebner basis under the
+    total order `order` on P's points: every square must be standard (else
+    the witness is a square (p, p) that leads a binomial), and the count of
     monomials avoiding the nonstandard degree-2 leading terms must match
-    P's Hilbert table in every degree.  Any polytope with P's point counts
-    gives the table: for an assembly, the graph polytope, searched on fewer
-    free coordinates."""
-    Dmax = len(table) - 1
+    `hilbert(P, Dmax)` in every degree.  The commands run it on the graph
+    polytope under the concatenation order of `catp.boxtimes_assemble`."""
     pts = list(P.lattice_points(1))
     std2 = standard_pairs(P, order)
     for p in pts:
@@ -377,6 +366,7 @@ def quadratic_squarefree_gb(P, order, table):
             return Check(False, {"reason": "square leading term",
                                  "witness": (p, p)})
     counts = _pair_standard_counts(pts, std2, Dmax)
+    table = hilbert(P, Dmax)
     for N in range(2, Dmax + 1):
         if counts[N] != table[N]:
             return Check(False, {"reason": "count mismatch", "degree": N,
@@ -445,14 +435,14 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
 
     polypres, L >= 2: tree-like + compatible: normal and relations in
       degree <= 3.
-    polyquad, L >= 0: caterpillar + even r: quadratic square-free GB under
-      the assembled concatenation order.
+    polyquad, L >= 0: caterpillar + even r: quadratic square-free GB of the
+      graph polytope under the concatenation order of its components.
     invariance, L >= 0, nmax >= 1: Hilbert tables to dilation nmax, by
       `hilbert_by_fusion`, agree across all graphs with (genus, leaves).
       Every graph gets a table, and graphs of one `fusion_key` share one
       count: their polytopes differ only in the order of the leaf
       coordinates, so their tables are equal at every level and dilation.
-    d2bp, L >= 0: caterpillar tree + even r: the assembly is a fiber
+    d2bp, L >= 0: caterpillar tree + even r: the graph polytope is a fiber
       product of <= 2-dimensional balanced blocks and its GB check passes.
 
     A polytope, or a family of them, with no degree-1 point is refused:
@@ -515,7 +505,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         P = from_graph(g, r, level)
         require_degree_one_point(P, r, level)
         t1 = time.perf_counter()
-        cert = generation(P, 3, dmax)
+        cert = relation_degree(P, 3, dmax)
         timings["relations"] = time.perf_counter() - t1
         timings["total"] = time.perf_counter() - t0
         rel = cert.relation_degree
@@ -536,6 +526,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
         if any(x % 2 for x in r):
             raise HypothesisViolated("all leaf weights must be even")
         order, assembly = boxtimes_assemble(g, r, level)
+        P = from_graph(g, r, level)
         witnesses = []
         if name == "d2bp":
             t1 = time.perf_counter()
@@ -548,8 +539,7 @@ def verify_theorem(name, graph=None, r=None, level=None, genus=None,
                     witnesses.append(bal.witness)
             timings["blocks"] = time.perf_counter() - t1
         t1 = time.perf_counter()
-        gb = quadratic_squarefree_gb(assembly.polytope, order,
-                                     hilbert(from_graph(g, r, level), dmax))
+        gb = quadratic_squarefree_gb(P, order, dmax)
         timings["gb"] = time.perf_counter() - t1
         if not gb.ok:
             witnesses.append(gb.witness)

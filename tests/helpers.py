@@ -1,5 +1,6 @@
 """Independent brute-force oracles for the test suite, and the building
-blocks, weights and fiber-product checks that only the tests use.
+blocks, weights, fiber products and fiber-product checks that only the
+tests use.
 
 The oracles are deliberately naive: box scans with no propagation or
 pruning, so results are computed by a different route than the library's
@@ -7,14 +8,15 @@ enumerator."""
 
 import importlib.util
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
-from spinpoly.errors import InvalidParams
+from spinpoly.catp import component_total_order
+from spinpoly.errors import InvalidParams, SpinpolyError
 from spinpoly.graphs import (
     MarkedGraph,
     _canonical_key,
@@ -28,14 +30,14 @@ from spinpoly.graphs import (
 from spinpoly.polytopes import (
     GradedPolytope,
     LatticeMap,
-    interval,
+    assemble,
     p3,
     quadrant,
     _TRIANGLE_BASIS,
     _trinode_rows,
     _unit,
 )
-from spinpoly.termorders import Check, monomials_by_image
+from spinpoly.termorders import Check, TotalOrder, monomials_by_image
 from spinpoly.toric import GenerationCertificate
 
 
@@ -69,6 +71,13 @@ def gb_route_instances():
 
 
 # -- building blocks that no command builds ------------------------------
+
+
+def interval(L):
+    if L < 0:
+        raise InvalidParams("L must be nonnegative")
+    return GradedPolytope(1, (((-1,), 0), ((1,), L)), (), (),
+                          LatticeMap(((1,),)))
 
 
 def point_polytope():
@@ -157,43 +166,21 @@ def in_parity_lattice(P, point):
     return all(sum(point[i] for i in s) % 2 == 0 for s in P.parity_sets)
 
 
-def naive_points(P, N, radius=None):
+def naive_points(P, N, radius=None, nonneg=False):
     """All lattice members of dilation N by scanning a box.
 
     radius defaults to N * (largest |rhs|) which encloses every polytope in
-    this test suite (all are contained in such a box)."""
-    if P.dim == 0:
-        return [()]
-    if radius is None:
-        rhss = [abs(b) for _, b in P.inequalities] + \
-               [abs(b) for _, b in P.equalities] + [1]
-        radius = N * max(rhss)
-    out = []
-    for cand in product(range(-radius, radius + 1), repeat=P.dim):
-        if any(sum(a * x for a, x in zip(row, cand)) > b * N
-               for row, b in P.inequalities):
-            continue
-        if any(sum(a * x for a, x in zip(row, cand)) != b * N
-               for row, b in P.equalities):
-            continue
-        if not in_parity_lattice(P, cand):
-            continue
-        out.append(cand)
-    return sorted(out)
-
-
-def naive_nonneg_points(P, N, radius=None):
-    """Box scan over the nonnegative orthant only (for graph polytopes,
-    whose coordinates are edge weights).  A coordinate pinned by a unit
+    this test suite (all are contained in such a box).  With nonneg=True,
+    for graph polytopes, whose coordinates are edge weights, the scan
+    covers the nonnegative orthant only, and a coordinate pinned by a unit
     equality row (a leaf edge) takes only its pinned value."""
     if P.dim == 0:
         return [()]
     if radius is None:
-        rhss = [abs(b) for _, b in P.inequalities] + \
-               [abs(b) for _, b in P.equalities] + [1]
+        rhss = [abs(b) for _, b in P.inequalities + P.equalities] + [1]
         radius = N * max(rhss)
-    axes = [range(0, radius + 1)] * P.dim
-    for row, b in P.equalities:
+    axes = [range(0 if nonneg else -radius, radius + 1)] * P.dim
+    for row, b in P.equalities if nonneg else ():
         if sorted(row) == [0] * (P.dim - 1) + [1]:
             axes[row.index(1)] = [b * N]
     out = []
@@ -233,15 +220,6 @@ def reglue(eg):
     return validate(
         MarkedGraph(tuple(verts), tuple(edges[i] for i in sorted(edges)), tuple(sorted(leaves)))
     )
-
-
-def assembled_point_to_graph_point(assembly, point):
-    """Collapse an assembled point to edge weights of the source graph."""
-    n_edges = max(orig for _, _, orig in assembly.coord_map) + 1
-    out = [None] * n_edges
-    for coord, (_, _, orig) in enumerate(assembly.coord_map):
-        out[orig] = point[coord]
-    return tuple(out)
 
 
 def naive_candidates(genus, n_leaves):
@@ -493,6 +471,128 @@ def degree_two_relations(P, order):
         std = min(fiber, key=lambda m: monomial_key(order, m))
         out += [(m, std) for m in fiber if m != std]
     return sorted(out)
+
+
+# -- fiber products and the folded assembly -------------------------------
+
+
+class BaseMismatch(SpinpolyError):
+    """The two maps of a fiber product do not share a base polytope."""
+
+
+@dataclass(frozen=True)
+class BaseMap(LatticeMap):
+    """A lattice map with the polytope it maps into: one side of a fiber
+    product."""
+
+    target: object = None  # GradedPolytope
+
+
+def edge_projection(P, coord, L):
+    """w -> w_coord / 2 into the interval [0, L] (interior edges carry even
+    weight in context)."""
+    return BaseMap((_unit(P.dim, coord),), 2, interval(L))
+
+
+@dataclass(frozen=True)
+class FiberProduct:
+    """A fiber product P1 x_Q P2 on concatenated coordinates."""
+
+    polytope: GradedPolytope
+    offset: int  # dim of P1; P2's coordinates start here
+
+
+def fiber_product(P1, f1, P2, f2):
+    """Points (x, y) with f1(x) = f2(y); BaseMismatch unless the maps share
+    a target."""
+    if f1.target != f2.target:
+        raise BaseMismatch("maps must share a base polytope")
+    d1, d2 = P1.dim, P2.dim
+    dim = d1 + d2
+
+    def pad1(row):
+        return tuple(row) + (0,) * d2
+
+    def pad2(row):
+        return (0,) * d1 + tuple(row)
+
+    ineqs = [(pad1(r), b) for r, b in P1.inequalities]
+    ineqs += [(pad2(r), b) for r, b in P2.inequalities]
+    eqs = [(pad1(r), b) for r, b in P1.equalities]
+    eqs += [(pad2(r), b) for r, b in P2.equalities]
+    den = lcm(f1.den, f2.den)
+    k1, k2 = den // f1.den, den // f2.den
+    for r1, r2 in zip(f1.rows, f2.rows):
+        row = tuple(k1 * c for c in r1) + tuple(-k2 * c for c in r2)
+        g = gcd(den, *row)
+        eqs.append((tuple(c // g for c in row), 0))
+    psets = [tuple(s) for s in P1.parity_sets]
+    psets += [tuple(d1 + i for i in s) for s in P2.parity_sets]
+    trans = None
+    t1, t2 = P1.to_lattice, P2.to_lattice
+    if t1 is not None and t2 is not None:
+        den = lcm(t1.den, t2.den)
+        rows = [pad1(den // t1.den * c for c in r) for r in t1.rows]
+        rows += [pad2(den // t2.den * c for c in r) for r in t2.rows]
+        trans = LatticeMap(tuple(rows), den)
+    poly = GradedPolytope(dim, tuple(ineqs), tuple(eqs), tuple(psets), trans)
+    return FiberProduct(poly, d1)
+
+
+@dataclass(frozen=True)
+class FoldedAssembly:
+    """The fiber product that an assembly describes, built."""
+
+    polytope: GradedPolytope
+    coord_map: tuple   # per coordinate: (component, local edge, original edge)
+    order: TotalOrder  # the component orders, folded two at a time
+
+
+def fold_assembly(eg, r, L, even_interior=False):
+    """Fold the exploded components into one polytope by fiber products
+    over [0, L] along the split edges, in the assembly's fold sequence, and
+    fold their `component_total_order`s alike by `split_boxtimes_order`,
+    nested as ((k0, k1), k2).
+
+    The polytope has one coordinate per component edge (split edges appear
+    once per side, glued by an equality); its lattice point count matches
+    the source graph polytope in every dilation."""
+    A = assemble(eg, r, L, even_interior=even_interior)
+    placed = {}  # (component, local edge) -> coordinate
+    coord_map = []
+    acc = order = None
+    for c in A.sequence:
+        frag, kind, P = A.components[c]
+        o = component_total_order(P, frag, kind)
+        if acc is None:
+            acc, order, offset = P, o, 0
+        else:
+            # the split edge joining c to a component already folded
+            for _, a, b in eg.split_edges:
+                if a[0] == c and b in placed:
+                    a, b = b, a
+                if b[0] == c and a in placed:
+                    break
+            fp = fiber_product(acc, edge_projection(acc, placed[a], L),
+                               P, edge_projection(P, b[1], L))
+            acc, offset = fp.polytope, fp.offset
+            order = split_boxtimes_order(order, o, offset)
+        for i, orig in enumerate(frag.original_edges):
+            placed[c, i] = offset + i
+            coord_map.append((c, i, orig))
+    return FoldedAssembly(acc, tuple(coord_map), order)
+
+
+def split_boxtimes_order(o1, o2, split):
+    """The two-factor concatenation order on fiber-product points, the
+    first `split` coordinates from the left factor: the weight is the sum of
+    the factor weights; ties break on the left factor's key, then the
+    right's."""
+    def entry(p):
+        (w1, k1), (w2, k2) = o1.entry(p[:split]), o2.entry(p[split:])
+        return w1 + w2, (k1, k2)
+
+    return TotalOrder(entry)
 
 
 # -- weights that may tie, and the fiber-product checks -------------------

@@ -7,11 +7,7 @@ from itertools import product as iproduct
 
 from spinpoly import graphs
 from spinpoly.polytopes import (
-    LatticeMap,
-    edge_projection,
-    fiber_product,
     from_graph,
-    interval,
     p3,
     quadrant,
     with_full_lattice,
@@ -32,10 +28,14 @@ from spinpoly.toric import (
 from helpers import (
     B2_COORDS,
     B2_COORDS_INVERSE,
+    BaseMap,
     balance_tuple,
     degree_two_relations,
+    edge_projection,
+    fiber_product,
     fiber_set,
     fraction_glue_rows,
+    interval,
     is_slice_balanced,
     loop_b,
     loop_b2,
@@ -125,8 +125,7 @@ def test_criterion_4_cubic_necessity():
     cert = relation_degree(P, 3, 4)
     ok = cert.relation_degree == 3
     witness_ok = any(n == 3 and b == (4, 4, 4) for n, b, d in cert.witnesses)
-    gb = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point),
-                                 hilbert(P, 3))
+    gb = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point), 3)
     gb_fail_ok = (not gb.ok and gb.witness["degree"] == 3)
     report(4, ok and witness_ok and gb_fail_ok,
            "relation degree exactly 3, witness fiber (4,4,4), "
@@ -187,8 +186,8 @@ def test_criterion_7_category_closure():
     A4 = p3_fixed2(2, 2, 4)
     B = loop_b(2)
     I = interval(2)
-    ident_to_base = LatticeMap(((1,),), 1, interval(2))
-    x_to_base = LatticeMap(((1, 0),), 1, interval(2))
+    ident_to_base = BaseMap(((1,),), 1, interval(2))
+    x_to_base = BaseMap(((1, 0),), 1, interval(2))
     cases = [
         ("p3_fixed2(2,2,2) x p3_fixed2(2,2,2)",
          A2, edge_projection(A2, 2, 2), A2, edge_projection(A2, 2, 2)),

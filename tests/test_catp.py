@@ -1,18 +1,26 @@
+import re
+
 import pytest
 
 from spinpoly import graphs
 from spinpoly.catp import boxtimes_assemble, component_total_order
 from spinpoly.errors import HypothesisViolated
 from spinpoly.polytopes import (
-    edge_projection,
-    fiber_product,
     fragment_polytope,
     from_graph,
     recognize_block,
 )
-from spinpoly.termorders import b2_cascade_order, sigma2_lex_order
+from spinpoly.termorders import (
+    b2_cascade_order,
+    sigma2_lex_order,
+    standard_pairs,
+)
 
 from helpers import (
+    edge_projection,
+    fiber_product,
+    fold_assembly,
+    gb_route_instances,
     p3_fixed2,
     product_standard_characterization,
     split_monomial,
@@ -83,11 +91,11 @@ def _keys_are_distinct(order, P):
 def test_boxtimes_assemble_tree():
     g = graphs.caterpillar_tree(4)
     order, assembly = boxtimes_assemble(g, (2, 2, 2, 2), 2)
-    assert _keys_are_distinct(order, assembly.polytope)
     P = from_graph(g, (2, 2, 2, 2), 2)
-    for N in (1, 2, 3):
-        assert len(assembly.polytope.lattice_points(N)) == \
-            len(P.lattice_points(N))
+    assert _keys_are_distinct(order, P)
+    # one key per component, in the fold sequence
+    assert assembly.sequence == (0, 1)
+    assert all(len(order.entry(p)[1]) == 2 for p in P.lattice_points(1))
 
 
 def test_boxtimes_assemble_doubled_edge():
@@ -96,10 +104,33 @@ def test_boxtimes_assemble_doubled_edge():
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dg = graphs.double_edge_at(t4, internal[0])
     order, assembly = boxtimes_assemble(dg, (2, 2, 2, 2), 2)
-    assert _keys_are_distinct(order, assembly.polytope)
+    assert _keys_are_distinct(order, from_graph(dg, (2, 2, 2, 2), 2))
     names = sorted(k for _, k, _ in assembly.components)
     assert names == ["loop_b2", "p3_fixed2", "p3_fixed2"]
-    P = from_graph(dg, (2, 2, 2, 2), 2)
-    for N in (1, 2):
-        assert len(assembly.polytope.lattice_points(N)) == \
-            len(P.lattice_points(N))
+
+
+def test_odd_cut_edge_is_refused():
+    # r = 1,2,1,2 makes the cut edge of the 4-leaf caterpillar odd, which
+    # the components' lattice maps would halve
+    g = graphs.caterpillar_tree(4)
+    assert {p[0] for p in from_graph(g, (1, 2, 1, 2), 2).lattice_points(1)} \
+        == {1}
+    with pytest.raises(HypothesisViolated, match=re.escape(
+            "cut edge 0 ('v1', 'v2') has odd weight at r=[1, 2, 1, 2]")):
+        boxtimes_assemble(g, (1, 2, 1, 2), 2)
+
+
+def test_standard_pairs_match_the_folded_assembly():
+    # the order on graph points against the fiber-product assembly and
+    # its two-factor fold ((k0, k1), k2): graph points spread over the
+    # assembled coordinates give the same standard pairs
+    cases = list(gb_route_instances())
+    assert len(cases) == 17
+    for g, r, L in cases:
+        order, _ = boxtimes_assemble(g, r, L)
+        folded = fold_assembly(graphs.explode(g), r, L, even_interior=True)
+        edges = [orig for _, _, orig in folded.coord_map]
+        spread = {tuple(sorted(tuple(p[e] for e in edges) for p in m))
+                  for m in standard_pairs(from_graph(g, r, L), order)}
+        assert spread == standard_pairs(folded.polytope, folded.order), \
+            (g.edges, r, L)

@@ -152,6 +152,17 @@ def test_gb_check(t4_path, capsys):
     assert "p3_fixed2" in rep["components"]
 
 
+def test_gb_check_refuses_odd_cut_edge(t4_path, capsys):
+    # r = 1,2,1,2 makes the caterpillar's cut edge odd, and the components'
+    # lattice maps halve it: the check is refused before any point is read
+    assert run(["gb-check", "--graph", t4_path, "--r", "1,2,1,2",
+                "--level", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: cut edge 0 ('v1', 'v2') has odd weight at " \
+        "r=[1, 2, 1, 2]" in err
+
+
 def test_balanced(t4_path, capsys):
     code = run(["balanced", "--graph", t4_path, "--r", "2,2,2,2",
                 "--level", "2", "--depth", "2"])

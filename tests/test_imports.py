@@ -1,6 +1,7 @@
 """The package needs nothing beyond the standard library at run time, its
-lattice maps are integer matrices, not rationals, and every definition in
-it is reached from a command, a script or the benchmark."""
+lattice maps are integer matrices, not rationals, every definition in it
+is reached from a command, a script or the benchmark, and every record
+field it declares is read in it."""
 
 import ast
 import importlib
@@ -32,11 +33,11 @@ def test_runs_without_networkx():
         "import sys; sys.modules['networkx'] = None\n"
         "import spinpoly.catp, spinpoly.cli, spinpoly.errors, spinpoly.graphs\n"
         "import spinpoly.polytopes, spinpoly.termorders, spinpoly.toric\n"
-        "from spinpoly.polytopes import interval\n"
+        "from spinpoly.polytopes import GradedPolytope\n"
         "from spinpoly.termorders import sigma2_lex_order\n"
-        "from spinpoly.toric import hilbert, quadratic_squarefree_gb\n"
-        "chk = quadratic_squarefree_gb(interval(3), sigma2_lex_order(),\n"
-        "                              hilbert(interval(3), 3))\n"
+        "from spinpoly.toric import quadratic_squarefree_gb\n"
+        "interval = GradedPolytope(1, (((-1,), 0), ((1,), 3)), ())\n"
+        "chk = quadratic_squarefree_gb(interval, sigma2_lex_order(), 3)\n"
         "print(chk.witness['relations'])\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -172,3 +173,31 @@ def test_every_traced_name_is_defined():
             if not callable(where.get(f)):
                 missing.append(f"{mod}.{f}")
     assert missing == []
+
+
+def unread_fields(root):
+    """(module, class, field) for each field of a dataclass declared in
+    `root`'s src/spinpoly that no `.field` attribute read in src/spinpoly
+    names.  Reads match by name, whatever object they are read from.  Only
+    the sources are read; nothing is imported."""
+    pkg = root / "src" / "spinpoly"
+    declared, read = [], set()
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list):
+                declared += [(path.stem, node.name, f.target.id)
+                             for f in node.body
+                             if isinstance(f, ast.AnnAssign)]
+    return [d for d in declared if d[2] not in read]
+
+
+def test_every_record_field_has_a_reader():
+    # a field that nothing in src/ reads belongs in tests/helpers.py, or
+    # nowhere
+    assert unread_fields(SRC.parent) == []

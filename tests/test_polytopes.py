@@ -3,9 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpoly import graphs, polytopes
-from spinpoly.catp import boxtimes_assemble
 from spinpoly.errors import (
-    BaseMismatch,
     InvalidParams,
     LengthMismatch,
     ParityViolation,
@@ -13,13 +11,9 @@ from spinpoly.errors import (
 )
 from spinpoly.polytopes import (
     GradedPolytope,
-    LatticeMap,
     assemble,
     count_points,
-    edge_projection,
-    fiber_product,
     from_graph,
-    interval,
     lattice_points,
     p3,
     quadrant,
@@ -32,14 +26,18 @@ from spinpoly.toric import hilbert
 from helpers import (
     B2_COORDS,
     B2_COORDS_INVERSE,
-    assembled_point_to_graph_point,
+    BaseMap,
+    BaseMismatch,
+    edge_projection,
+    fiber_product,
+    fold_assembly,
     fraction_glue_rows,
     gb_route_instances,
     in_parity_lattice,
+    interval,
     loop_b,
     loop_b2,
     loop_with_leaf,
-    naive_nonneg_points,
     naive_points,
     p3_fixed1,
     p3_fixed2,
@@ -96,14 +94,15 @@ def test_graph_polytope_matches_naive():
         (from_graph(loop, (2, 2), 2), (0, 1, 2, 3), 2),
         (from_graph(dbl, (2, 2, 2, 2), 4), (0, 1, 2), 4),
         # glue equalities between the exploded components
-        (assemble(graphs.explode(dbl), (2, 2, 2, 2), 2).polytope, (1, 2), 2),
+        (fold_assembly(graphs.explode(dbl), (2, 2, 2, 2), 2).polytope, (1, 2),
+         2),
         # empty: the two trinodes force the interior edge odd and even
         (from_graph(t4, (1, 2, 2, 2), 2), (1, 2), 2),
     ]
     for P, dilations, radius in cases:
         for N in dilations:
             assert list(P.lattice_points(N)) == \
-                naive_nonneg_points(P, N, radius * N)
+                naive_points(P, N, radius * N, nonneg=True)
             assert count_points(P, N) == len(P.lattice_points(N))
 
 
@@ -148,7 +147,8 @@ def small_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_random_systems_match_naive(system, N):
     box, P = system
-    assert list(lattice_points(P, N)) == naive_nonneg_points(P, N, box * N)
+    assert list(lattice_points(P, N)) == \
+        naive_points(P, N, box * N, nonneg=True)
     assert count_points(P, N) == len(lattice_points(P, N))
 
 
@@ -181,7 +181,7 @@ def tail_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_count_tail_matches_naive(system, N):
     box, P = system
-    naive = naive_nonneg_points(P, N, box * N)
+    naive = naive_points(P, N, box * N, nonneg=True)
     assert list(lattice_points(P, N)) == naive
     assert count_points(P, N) == len(naive)
 
@@ -393,30 +393,32 @@ def test_assemble_matches_graph_polytope():
     ]
     for g, r, L in cases:
         P = from_graph(g, r, L)
-        A = assemble(graphs.explode(g), r, L)
+        A = fold_assembly(graphs.explode(g), r, L)
+        edges = [orig for _, _, orig in A.coord_map]
         for N in (1, 2, 3):
             direct = set(P.lattice_points(N))
-            via = {assembled_point_to_graph_point(A, p)
+            # each point read back on the graph's edges, a split edge once
+            via = {tuple(dict(sorted(zip(edges, p))).values())
                    for p in A.polytope.lattice_points(N)}
             assert direct == via
             assert len(A.polytope.lattice_points(N)) == len(direct)
 
 
 def test_even_interior_assembly_counts_match_graph_polytope():
-    # the GB check reads the graph polytope's table against the standard
-    # monomials of the even-interior assembly: their counts must agree
+    # on the GB check's instances every cut edge is even, so the graph
+    # polytope is the fiber product of its even-interior components
     cases = list(gb_route_instances())
     assert len(cases) == 6 + 9 + 2
     for g, r, L in cases:
-        assembled = boxtimes_assemble(g, r, L)[1].polytope
-        assert hilbert(assembled, 4) == hilbert(from_graph(g, r, L), 4), \
-            (g.edges, r, L)
+        folded = fold_assembly(graphs.explode(g), r, L, even_interior=True)
+        assert hilbert(folded.polytope, 4) == \
+            hilbert(from_graph(g, r, L), 4), (g.edges, r, L)
 
 
 def test_assemble_even_interior_has_transform():
     g = graphs.caterpillar_tree(4)
-    A = assemble(graphs.explode(g), (2, 2, 2, 2), 2, even_interior=True)
-    P = A.polytope
+    P = fold_assembly(graphs.explode(g), (2, 2, 2, 2), 2,
+                      even_interior=True).polytope
     assert P.to_lattice is not None
     imgs = {P.transform_point(p) for p in P.lattice_points(1)}
     assert len(imgs) == len(P.lattice_points(1))
@@ -437,7 +439,8 @@ def test_even_interior_maps_are_integral_on_cycles(L):
             for N in (1, 2):
                 pts = P.lattice_points(N)
                 assert len({P.transform_point(p) for p in pts}) == len(pts)
-    A = assemble(graphs.explode(triangle), (2, 2, 2), 2, even_interior=True)
+    A = fold_assembly(graphs.explode(triangle), (2, 2, 2), 2,
+                      even_interior=True)
     assert A.polytope.transform_point((1, 1, 1, 2, 2, 2)) == (1, 1, 1, 1, 1, 1)
 
 
@@ -531,7 +534,7 @@ def lattice_map_pairs(draw):
         d = draw(st.integers(1, 3))
         rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d),
                              min_size=k, max_size=k))
-        maps.append((d, LatticeMap(tuple(rows), draw(st.sampled_from((1, 2, 4))))))
+        maps.append((d, BaseMap(tuple(rows), draw(st.sampled_from((1, 2, 4))))))
     return maps
 
 

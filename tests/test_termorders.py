@@ -12,9 +12,7 @@ from spinpoly.catp import boxtimes_assemble
 from spinpoly.errors import NotTotal
 from spinpoly.polytopes import (
     LatticeMap,
-    fiber_product,
     from_graph,
-    interval,
     p3,
     quadrant,
 )
@@ -32,11 +30,14 @@ from spinpoly.termorders import (
 )
 
 from helpers import (
+    BaseMap,
     balance_pair,
     balance_tuple,
     blocks_up_to_level_2,
+    fiber_product,
     fiber_set,
     gb_route_instances,
+    interval,
     is_slice_balanced,
     key_minima,
     loop_b,
@@ -170,11 +171,11 @@ def test_non_total_weight_can_tie():
     # the sum weight of criterion 7 ties in 7 fibers of loop_b(2) glued to
     # itself, where the concatenation order picks one member of each
     B = loop_b(2)
-    x_to_base = LatticeMap(((1, 0),), 1, interval(2))
+    x_to_base = BaseMap(((1, 0),), 1, interval(2))
     fp = fiber_product(B, x_to_base, B, x_to_base)
     o = sigma2_lex_order(B.transform_point)
     ties = weight_minima(sum_weight(o, o, fp.offset))
-    total = key_minima(boxtimes_order(o, o, fp.offset))
+    total = key_minima(boxtimes_order(((o, (0, 1)), (o, (2, 3)))))
     tied = 0
     for N in (2, 3):
         for f in monomials_by_image(fp.polytope, N).values():
@@ -189,8 +190,8 @@ def test_standard_pairs_match_least_pair_of_each_fiber():
     # monomial_key, of each degree-2 fiber that monomials_by_image lists
     cases = []
     for g, r, L in gb_route_instances():
-        order, assembly = boxtimes_assemble(g, r, L)
-        cases.append((assembly.polytope, order))
+        order, _ = boxtimes_assemble(g, r, L)
+        cases.append((from_graph(g, r, L), order))
     for L in (1, 2, 3):
         cases.append((interval(L), sigma2_lex_order()))
         for q in (1, 2, 3, 4):
@@ -387,10 +388,18 @@ def test_b2_cascade_unique_standards():
 
 
 def test_boxtimes_order_composition():
-    o = boxtimes_order(sigma2_lex_order(), sigma2_lex_order(), 1)
-    # ties in total weight break on the left factor first
+    o = boxtimes_order(((sigma2_lex_order(), (0,)),
+                        (sigma2_lex_order(), (1,))))
+    # ties in total weight break on the first factor first
     assert o.entry((1, 2))[0] == 5
     assert o.entry((2, 1))[1] > o.entry((1, 2))[1]
+    # a factor reads its own coordinates, in the order given, and the
+    # keys of three factors are one flat tuple
+    o3 = boxtimes_order(((sigma2_lex_order(), (2, 0)),
+                         (sigma2_lex_order(), (1,)),
+                         (sigma2_lex_order(), (0,))))
+    assert o3.entry((1, 2, 3)) == (10 + 4 + 1,
+                                   ((10, (3, 1)), (4, (2,)), (1, (1,))))
 
 
 def test_monomial_key_orders_by_degree_then_weight():
@@ -409,8 +418,8 @@ def test_point_table_keys_match_fresh_order(monkeypatch):
     internal = [i for i, (a, b) in enumerate(t4.edges)
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dbl4 = graphs.double_edge_at(t4, internal[0])
-    order, assembly = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
-    pts = assembly.polytope.lattice_points(1)
+    order, _ = boxtimes_assemble(dbl4, (2, 2, 2, 2), 4)
+    pts = from_graph(dbl4, (2, 2, 2, 2), 4).lattice_points(1)
     monos = list(combinations_with_replacement(pts, 2))
     assert len(monos) > 100
     # fill the tables in reverse, then read every key back from them
@@ -444,8 +453,10 @@ def test_boxtimes_keys_run_each_transform_once_per_point():
             return P.transform_point(p)
         return transform
 
-    order = boxtimes_order(b2_cascade_order(counting(A, calls[0])),
-                           sigma2_lex_order(counting(B, calls[1])), 4)
+    order = boxtimes_order(((b2_cascade_order(counting(A, calls[0])),
+                             (0, 1, 2, 3)),
+                            (sigma2_lex_order(counting(B, calls[1])),
+                             (4, 5, 6))))
     pts = [p + q for p in A.lattice_points(1) for q in B.lattice_points(1)]
     for m in combinations_with_replacement(pts, 2):
         monomial_key(order, m)

@@ -6,25 +6,25 @@ import random
 import pytest
 
 from spinpoly import graphs, polytopes, toric
-from spinpoly.errors import (
-    HypothesisViolated,
-    LengthMismatch,
-    NormalityPrerequisiteFailed,
-)
+from spinpoly.errors import HypothesisViolated, LengthMismatch
 from spinpoly.polytopes import (
     GradedPolytope,
-    LatticeMap,
-    fiber_product,
     from_graph,
-    interval,
     lattice_points,
     p3,
     quadrant,
     with_full_lattice,
 )
 from spinpoly.catp import boxtimes_assemble
-from spinpoly.termorders import Check, sigma2_lex_order, standard_pairs
+from spinpoly.termorders import (
+    Check,
+    TotalOrder,
+    sigma2_lex_order,
+    sigma_squared,
+    standard_pairs,
+)
 from spinpoly.toric import (
+    GenerationCertificate,
     fusion_key,
     hilbert,
     hilbert_by_fusion,
@@ -37,9 +37,12 @@ from spinpoly.toric import (
 )
 
 from helpers import (
+    BaseMap,
     blocks_up_to_level_2,
     count_pair_standard_multisets,
     degree_two_relations,
+    fiber_product,
+    interval,
     loop_b,
     naive_is_normal,
     naive_relation_degree,
@@ -300,15 +303,14 @@ def _relation_instances():
 def test_relation_degree_matches_pairwise_search():
     # lifted spanning trees give the same certificate as comparing every
     # pair of monomials, witnesses and minimal-relation counts included;
-    # the three blocks that are not normal to degree 3 are refused with
+    # the three blocks that are not normal to degree 3 fail with
     # is_normal's witness
     certs, refused = [], 0
     for P in _relation_instances():
         chk = is_normal(P, 3)
         if not chk.ok:
-            with pytest.raises(NormalityPrerequisiteFailed) as exc:
-                relation_degree(P, 3, 3)
-            assert exc.value.witness == chk.witness
+            assert relation_degree(P, 3, 3) == \
+                GenerationCertificate(None, (chk.witness,))
             refused += 1
             continue
         for move_max in (1, 2, 3):
@@ -353,8 +355,8 @@ def test_minimal_relation_counts(P, counts):
 
 
 def test_relation_degree_requires_normality(monkeypatch):
-    # the prerequisite is is_normal's, raised with its (N, point) witness
-    # before any fiber is built
+    # the prerequisite is is_normal's: a failure returns its (N, point)
+    # witness before any fiber is built
     def no_fibers(*args):
         raise AssertionError("fibers built")
 
@@ -369,10 +371,10 @@ def test_relation_degree_requires_normality(monkeypatch):
     ]:
         chk = is_normal(P, D)
         assert not chk.ok
-        with pytest.raises(NormalityPrerequisiteFailed) as exc:
-            relation_degree(P, 3, D)
-        assert exc.value.witness == chk.witness
-        assert str(exc.value) == f"not normal: witness {chk.witness}"
+        cert = relation_degree(P, 3, D)
+        assert cert.relation_degree is None
+        assert cert.witnesses == (chk.witness,)
+        assert cert.minimal_relations == {}
 
 
 def test_tree_like_relations_degree_bound():
@@ -397,37 +399,46 @@ def test_degree_two_relations_q1():
 
 
 def test_gb_interval():
-    assert quadratic_squarefree_gb(interval(3), sigma2_lex_order(),
-                                   hilbert(interval(3), 4)).ok
+    assert quadratic_squarefree_gb(interval(3), sigma2_lex_order(), 4).ok
+
+
+def test_gb_refuses_a_nonstandard_square():
+    # weight -Σ² is concave: on [0, 2] the fiber of 1 + 1 = 0 + 2 has least
+    # member (0, 2), so the square of the midpoint leads a binomial
+    P = interval(2)
+    order = TotalOrder(lambda p: (-sigma_squared(p), p))
+    chk = quadratic_squarefree_gb(P, order, 3)
+    assert chk == Check(False, {"reason": "square leading term",
+                                "witness": ((1,), (1,))})
+    p, q = chk.witness["witness"]
+    assert p == q and p in P.lattice_points(1)
 
 
 def test_gb_q1():
-    assert quadratic_squarefree_gb(quadrant(1, 1), sigma2_lex_order(),
-                                   hilbert(quadrant(1, 1), 4)).ok
+    assert quadratic_squarefree_gb(quadrant(1, 1), sigma2_lex_order(), 4).ok
 
 
 def test_gb_relations_count_degree_two_relations():
-    # [DERIVED] quadrics of the assembled orders at L=4
+    # [DERIVED] quadrics of the concatenation orders at L=4
     t4 = graphs.caterpillar_tree(4)
     internal = [i for i, (a, b) in enumerate(t4.edges)
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
     dbl4 = graphs.double_edge_at(t4, internal[0])
     for g, n in ((graphs.caterpillar_tree(6), 21), (dbl4, 336)):
         r = (2,) * g.n_leaves
-        order, assembly = boxtimes_assemble(g, r, 4)
-        chk = quadratic_squarefree_gb(assembly.polytope, order,
-                                      hilbert(from_graph(g, r, 4), 3))
+        order, _ = boxtimes_assemble(g, r, 4)
+        P = from_graph(g, r, 4)
+        chk = quadratic_squarefree_gb(P, order, 3)
         assert chk.ok
         assert chk.witness["relations"] == n == \
-            len(degree_two_relations(assembly.polytope, order))
+            len(degree_two_relations(P, order))
 
 
 def test_gb_fails_on_cubic_region():
     # [PAPER] the cubic-relation region has no quadratic GB: the standard
     # count deviates from the Hilbert function at N=3 (35 vs 34)
     P = trinode_cubic_region()
-    chk = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point),
-                                  hilbert(P, 3))
+    chk = quadratic_squarefree_gb(P, sigma2_lex_order(P.transform_point), 3)
     assert not chk.ok
     assert chk.witness["degree"] == 3
     assert chk.witness["standard_count"] == 35
@@ -444,7 +455,7 @@ def _assert_counts_match_search(pts, std2, D):
 
 def test_pair_standard_counts_match_multiset_search():
     # clique counts against the multiset search on the caterpillar's
-    # assembled order; at L=3 and L=5 the check fails in degree 2
+    # concatenation order; at L=3 and L=5 the check fails in degree 2
     t4 = graphs.caterpillar_tree(4)
     internal = [i for i, (a, b) in enumerate(t4.edges)
                 if t4.degree(a) == 3 and t4.degree(b) == 3]
@@ -452,8 +463,8 @@ def test_pair_standard_counts_match_multiset_search():
     cases = [(graphs.caterpillar_tree(6), L, D)
              for L, D in ((2, 4), (3, 4), (4, 4), (5, 3))] + [(dbl4, 3, 3)]
     for g, L, D in cases:
-        order, assembly = boxtimes_assemble(g, (2,) * g.n_leaves, L)
-        P = assembly.polytope
+        order, _ = boxtimes_assemble(g, (2,) * g.n_leaves, L)
+        P = from_graph(g, (2,) * g.n_leaves, L)
         std2 = standard_pairs(P, order)
         _assert_counts_match_search(list(P.lattice_points(1)), std2, D)
     # a hand-made standard-pair graph: the triangle 0-1-2 and the edge 2-3
@@ -470,7 +481,7 @@ def test_pair_standard_counts_match_networkx_cliques():
     import networkx as nx
 
     B = loop_b(2)
-    x_to_base = LatticeMap(((1, 0),), 1, interval(2))
+    x_to_base = BaseMap(((1, 0),), 1, interval(2))
     fp = fiber_product(B, x_to_base, B, x_to_base).polytope
     cases = [(interval(3), sigma2_lex_order()),
              (p3(2), sigma2_lex_order(p3(2).transform_point)),
@@ -500,9 +511,8 @@ def test_gb_count_mismatch_on_odd_level_caterpillar():
     # the degree-2 standard counts of cat6 at L=3 and L=5 fall one short
     g = graphs.caterpillar_tree(6)
     for L, short in ((3, (14, 15)), (5, (60, 61))):
-        order, assembly = boxtimes_assemble(g, (2,) * 6, L)
-        chk = quadratic_squarefree_gb(assembly.polytope, order,
-                                      hilbert(from_graph(g, (2,) * 6, L), 3))
+        order, _ = boxtimes_assemble(g, (2,) * 6, L)
+        chk = quadratic_squarefree_gb(from_graph(g, (2,) * 6, L), order, 3)
         assert chk == Check(False, {"reason": "count mismatch", "degree": 2,
                                     "standard_count": short[0],
                                     "hilbert": short[1]})
